@@ -1,9 +1,8 @@
 #!/usr/bin/env python
 """Generate ``BENCH_kernel.json``: columnar vs incremental vs rebuild.
 
-Measures, for each SLRH variant on the 240-task comparison workload (the
-same workload ``BENCH_plan_cache.json`` was measured on), the best-of-N
-wall time of a full ``map()`` under the three kernel modes:
+Measures, for each SLRH variant on the 240-task comparison workload, the
+best-of-N wall time of a full ``map()`` under the three kernel modes:
 
 * ``columnar`` — flat-array candidate scoring over the delta-maintained
   pool (the default path, ``REPRO_KERNEL=columnar``);

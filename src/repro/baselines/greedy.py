@@ -27,7 +27,6 @@ from repro.sim.schedule import Schedule
 from repro.sim.trace import MappingTrace
 from repro.util.timing import Stopwatch
 from repro.workload.scenario import Scenario
-from repro.workload.versions import PRIMARY, SECONDARY
 
 #: Placeholder weights recorded on greedy results (greedy ignores ObjFn).
 _GREEDY_WEIGHTS = Weights(1.0, 0.0, 0.0)
@@ -65,16 +64,15 @@ class GreedyScheduler:
             task = next(topo)
             best_plan = None
             for machine in range(scenario.n_machines):
-                for version in (PRIMARY, SECONDARY):
-                    plan = schedule.plan(
-                        task, version, machine,
-                        not_before=0.0, insertion=self.insertion,
-                    )
-                    if not plan.feasible:
-                        continue
-                    if best_plan is None or plan.finish < best_plan.finish - 1e-12:
-                        best_plan = plan
-                    break  # primary fits: no need to consider secondary
+                primary, secondary = schedule.plan_versions(
+                    task, machine, not_before=0.0, insertion=self.insertion
+                )
+                # An affordable primary wins; the secondary is the fallback.
+                plan = primary if primary.feasible else secondary
+                if not plan.feasible:
+                    continue
+                if best_plan is None or plan.finish < best_plan.finish - 1e-12:
+                    best_plan = plan
             return best_plan, 0
 
         kernel = SchedulingKernel(schedule, None, None)

@@ -29,7 +29,7 @@ from repro.core.feasibility import FeasibilityChecker
 from repro.core.kernel import SchedulingKernel
 from repro.core.objective import ObjectiveFunction, Weights
 from repro.core.slrh import MappingResult
-from repro.sim.schedule import Schedule
+from repro.sim.schedule import Schedule, StaticPlanMemo
 from repro.sim.trace import MappingTrace
 from repro.util.timing import Stopwatch
 from repro.workload.scenario import Scenario
@@ -46,10 +46,6 @@ class MaxMaxConfig:
     insertion: bool = True
     #: AET-term semantics of the objective (ablation; see ObjectiveFunction).
     aet_mode: str = "tent"
-    #: Reuse tentative plans across rounds when the state they depend on is
-    #: unchanged (see the plan cache in :mod:`repro.sim.schedule`).  Mapping
-    #: results are identical either way; disabling is for benchmarking.
-    plan_cache: bool = True
     #: Machine-stage selection rule.  ``"completion"`` (default) assigns
     #: each candidate (subtask, version) its minimum-completion-time
     #: machine, mirroring the [IbK77] Min-Min structure the paper says
@@ -75,7 +71,7 @@ class MaxMaxScheduler:
         """Map *scenario* from scratch, or finish a partially-built
         *schedule* (the session engine's final-state mapping)."""
         if schedule is None:
-            schedule = Schedule(scenario, plan_cache=self.config.plan_cache)
+            schedule = Schedule(scenario)
         elif schedule.scenario is not scenario:
             raise ValueError("schedule was built for a different scenario")
         checker = FeasibilityChecker(scenario, comm_reserve=self.config.comm_reserve)
@@ -83,6 +79,8 @@ class MaxMaxScheduler:
             scenario, self.config.weights, aet_mode=self.config.aet_mode
         )
         trace = MappingTrace()
+        memo = StaticPlanMemo(schedule, insertion=self.config.insertion)
+        n_machines = scenario.n_machines
 
         completion_stage = self.config.machine_stage == "completion"
         if self.config.machine_stage not in ("completion", "objective"):
@@ -94,25 +92,23 @@ class MaxMaxScheduler:
             best_plan = None
             best_score = -float("inf")
             pool_size = 0
-            ready = sorted(schedule.ready_tasks())
-            for task in ready:
-                for version in (PRIMARY, SECONDARY):
+            for task in schedule.ready_sorted():
+                # Both versions share one plan_versions call per machine.
+                pairs: list = [None] * n_machines
+                for vi, version in enumerate((PRIMARY, SECONDARY)):
                     # Machine stage: the candidate's plan on each
                     # machine; under "completion" only the
                     # minimum-completion-time machine survives, under
                     # "objective" every machine competes directly.
                     stage_plan = None
-                    for machine in range(scenario.n_machines):
+                    for machine in range(n_machines):
                         trace.note_machine_scan()
                         if not checker.is_feasible(schedule, task, machine, version):
                             continue
-                        plan = schedule.plan(
-                            task,
-                            version,
-                            machine,
-                            not_before=0.0,
-                            insertion=self.config.insertion,
-                        )
+                        pair = pairs[machine]
+                        if pair is None:
+                            pair = pairs[machine] = memo.plan_versions(task, machine)
+                        plan = pair[vi]
                         if not plan.feasible:
                             continue
                         pool_size += 1

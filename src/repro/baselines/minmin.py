@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from repro.core.kernel import SchedulingKernel
 from repro.core.slrh import MappingResult
-from repro.sim.schedule import ExecutionPlan, Schedule
+from repro.sim.schedule import ExecutionPlan, Schedule, StaticPlanMemo
 from repro.sim.trace import MappingTrace
 from repro.util.timing import Stopwatch
 from repro.workload.scenario import Scenario
-from repro.workload.versions import PRIMARY, SECONDARY
 
 from repro.baselines.greedy import _GREEDY_WEIGHTS
 
@@ -33,19 +32,18 @@ class MinMinScheduler:
     def __init__(self, insertion: bool = True) -> None:
         self.insertion = insertion
 
-    def _best_plan_for_task(self, schedule: Schedule, task: int) -> ExecutionPlan | None:
+    @staticmethod
+    def _best_plan_for_task(memo: StaticPlanMemo, task: int) -> ExecutionPlan | None:
         """Minimum-completion-time plan for *task* over all machines."""
         best: ExecutionPlan | None = None
-        for machine in range(schedule.scenario.n_machines):
-            for version in (PRIMARY, SECONDARY):
-                plan = schedule.plan(
-                    task, version, machine, not_before=0.0, insertion=self.insertion
-                )
-                if not plan.feasible:
-                    continue
-                if best is None or plan.finish < best.finish - 1e-12:
-                    best = plan
-                break  # affordable primary: skip secondary
+        for machine in range(memo.schedule.scenario.n_machines):
+            primary, secondary = memo.plan_versions(task, machine)
+            # An affordable primary wins; the secondary is the fallback.
+            plan = primary if primary.feasible else secondary
+            if not plan.feasible:
+                continue
+            if best is None or plan.finish < best.finish - 1e-12:
+                best = plan
         return best
 
     def map(
@@ -58,12 +56,13 @@ class MinMinScheduler:
         elif schedule.scenario is not scenario:
             raise ValueError("schedule was built for a different scenario")
         trace = MappingTrace()
+        memo = StaticPlanMemo(schedule, insertion=self.insertion)
 
         def select() -> tuple:
             """One Min-Min round: the smallest-MCT ready subtask."""
             best: ExecutionPlan | None = None
-            for task in sorted(schedule.ready_tasks()):
-                plan = self._best_plan_for_task(schedule, task)
+            for task in schedule.ready_sorted():
+                plan = self._best_plan_for_task(memo, task)
                 if plan is None:
                     continue
                 if best is None or plan.finish < best.finish - 1e-12:

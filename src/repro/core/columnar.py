@@ -25,9 +25,8 @@ Python objects.  The per-tick scan then runs on index arithmetic:
 The *dirty* path — entries whose certificates fail — is a **fused
 replan**: the same decisions as ``Schedule._plan_pair`` +
 :func:`repro.core.pool.select_candidate`, open-coded without the wrapper
-layers.  It makes the identical plan-cache probes (``_comm_entry_valid``
-→ ``_shift_comms`` → ``_plan_comms_floor``) so the channel-slot reuse
-discipline is byte-for-byte the object path's, then finishes the pair in
+layers.  It runs the shared channel-slot search
+(``Schedule._plan_comms_floor``) from scratch, then finishes the pair in
 flat arithmetic:
 
 * machine budgets, the rule-(b) gate, the offline set and the execution
@@ -39,11 +38,7 @@ flat arithmetic:
   the same order), and only the *winning* version's
   :class:`~repro.sim.schedule.ExecutionPlan` is materialised — the loser
   exists as column facts and is rebuilt on demand if a later aggregate
-  shift flips the selection;
-* the plan-cache writeback stores the same comm facts the generic path
-  would (so incremental-mode code and the SLRH-2 stale-pool walk reuse
-  them), with ``entry.pair = None`` — the pair layer is superseded by the
-  columns.
+  shift flips the selection.
 
 Columnar mode therefore re-plans exactly the same entries as incremental
 mode; the ``pool.reuse_hits`` / ``pool.invalidations`` / ``pool.members``
@@ -63,11 +58,7 @@ from repro.core.feasibility import FeasibilityChecker
 from repro.core.objective import ObjectiveFunction
 from repro.core.pool import Candidate
 from repro.obs.spans import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
-
-# The fused replan is a twin of Schedule._plan_pair: it shares the plan
-# cache (same entry type, same validity helpers) rather than growing a
-# second, subtly different one.
-from repro.sim.schedule import ExecutionPlan, Schedule, _PlanCacheEntry
+from repro.sim.schedule import ExecutionPlan, Schedule, _new_execution_plan
 from repro.workload.versions import Version
 
 __all__ = ["ColumnarPool"]
@@ -307,9 +298,6 @@ class ColumnarPool:
         # calendar tail are loop constants — the per-replan
         # available_energy / earliest_gap calls of the generic path
         # collapse to float compares against these.
-        cache_on = schedule.plan_cache_enabled
-        plan_cache = schedule._plan_cache
-        cache_key = (machine, False)
         exec_tail = schedule.exec_timeline[machine].tail
         offline_set = schedule.offline
         machine_offline = machine in offline_set
@@ -324,8 +312,6 @@ class ColumnarPool:
         thresh[machine] = rb_gate
         required = checker.required_energy
         required_memo = checker._required
-        comm_valid = schedule._comm_entry_valid
-        shift_comms = schedule._shift_comms
         comms_floor = schedule._plan_comms_floor
         exec_facts_fn = schedule.exec_facts
         exec_static = schedule._exec_static
@@ -336,7 +322,7 @@ class ColumnarPool:
         facts_col = self._facts
         req1_col = self._req1
         wc_col = self._wc
-        n_hit = n_shift = n_miss = 0
+        n_pairs = 0
         members: list[int] = []  # slot indices, gathered in task order
         min_release: float | None = None
         reused = invalidated = 0
@@ -444,31 +430,19 @@ class ColumnarPool:
                                 # column facts — materialise it now, from
                                 # the stored columns, bit-identically to
                                 # the plan the generic path built eagerly.
-                                plan = object.__new__(ExecutionPlan)
-                                plan.__dict__.update({
-                                    "task": task,
-                                    "version": _PRIMARY
-                                    if win == 0
-                                    else _SECONDARY,
-                                    "machine": machine,
-                                    "start": start0[idx]
-                                    if win == 0
-                                    else start1[idx],
-                                    "finish": finish0[idx]
-                                    if win == 0
-                                    else finish1[idx],
-                                    "exec_energy": exec_facts_fn(task, machine)[
-                                        win
-                                    ][1],
-                                    "comms": pair[2],
-                                    "energy_delta": energy0[idx]
-                                    if win == 0
-                                    else energy1[idx],
-                                    "data_ready": ready_col[idx],
-                                    "feasible": True,
-                                    "reason": "",
-                                })
-                                pair[win] = plan
+                                plan = pair[win] = _new_execution_plan(
+                                    task,
+                                    _PRIMARY if win == 0 else _SECONDARY,
+                                    machine,
+                                    start0[idx] if win == 0 else start1[idx],
+                                    finish0[idx] if win == 0 else finish1[idx],
+                                    exec_facts_fn(task, machine)[win][1],
+                                    pair[2],
+                                    energy0[idx] if win == 0 else energy1[idx],
+                                    ready_col[idx],
+                                    True,
+                                    "",
+                                )
                             cand = object.__new__(Candidate)
                             cand.__dict__.update({
                                 "task": task,
@@ -479,9 +453,13 @@ class ColumnarPool:
                         members.append(idx)
                     continue
                 invalidated += 1
-                epoch = epochs[task]
                 slot_gen[idx] = gen
-                epoch_col[idx] = epoch
+                epoch_col[idx] = epochs[task]
+                # Certificate set: the target machine plus every parent's
+                # machine — exactly the set a commit can move.
+                deps = {machine}
+                for p in parents[task]:
+                    deps.add(assignments[p].machine)
                 req = req1_col[idx]
                 if req is None:
                     req = required_memo.get((task, machine, _SECONDARY))
@@ -492,53 +470,13 @@ class ColumnarPool:
                     kind[idx] = _RULE_B
                     pairs[idx] = None
                     cands[idx] = None
-                    deps = {machine}
-                    for p in parents[task]:
-                        deps.add(assignments[p].machine)
                 else:
                     # -- fused replan: _plan_pair + select_candidate without
-                    # the wrapper layers.  Identical plan-cache probes, then
-                    # flat arithmetic against the per-build hoists.
-                    entry = None
-                    pcomms = None
-                    dr_floor = 0.0
-                    local_floor = 0.0
-                    if cache_on:
-                        per_task = plan_cache.get(task)
-                        if per_task is not None:
-                            entry = per_task.get(cache_key)
-                        if entry is not None:
-                            if comm_valid(entry, machine, not_before, epoch):
-                                n_hit += 1
-                                pcomms = entry.comms
-                                dr_floor = entry.dr_floor
-                                min_comm = entry.min_comm_start
-                            else:
-                                shifted = shift_comms(
-                                    entry, machine, not_before, epoch
-                                )
-                                if shifted is not None:
-                                    n_shift += 1
-                                    pcomms, dr_floor = shifted
-                                    min_comm = entry.min_comm_start
-                                else:
-                                    entry = None
-                    if pcomms is None:
-                        n_miss += 1
-                        pcomms, dr_floor, local_floor = comms_floor(
-                            task, machine, not_before
-                        )
-                        min_comm = (
-                            min(c.start for c in pcomms) if pcomms else math.inf
-                        )
-                    # A surviving entry certifies the parents' assignments,
-                    # so its dep_machines IS {machine} ∪ parent machines.
-                    if entry is not None:
-                        deps = entry.dep_machines
-                    else:
-                        deps = {machine}
-                        for p in parents[task]:
-                            deps.add(assignments[p].machine)
+                    # the wrapper layers: the shared channel-slot search,
+                    # then flat arithmetic against the per-build hoists.
+                    n_pairs += 1
+                    pcomms, dr_floor = comms_floor(task, machine, not_before)
+                    min_comm = min(c.start for c in pcomms) if pcomms else math.inf
                     # max() (not a bare compare) so signed-zero floors stay
                     # bitwise identical to the generic path's data_ready.
                     data_ready = max(not_before, dr_floor)
@@ -554,52 +492,36 @@ class ColumnarPool:
                         if facts is None:
                             facts = exec_facts_fn(task, machine)
                         facts_col[idx] = facts
-                    d0 = d1 = None
                     vf0 = vf1 = False
                     if not offline:
-                        # A surviving entry proves the parents' assignments
-                        # are unchanged and transfer energies never move in
-                        # a shift, so its stored demand dicts are
-                        # bit-identical to fresh ones (see _plan_pair).
-                        if entry is not None:
-                            d0, d1 = entry.demands
-                        if d0 is None or d1 is None:
-                            # _net_energy_demand for both versions in one
-                            # walk: per-dict float operations in exactly the
-                            # generic order, the per-version worst-case
-                            # outgoing reserve from its memo.
-                            d0 = {machine: facts[0][1]}
-                            d1 = {machine: facts[1][1]}
-                            for c in pcomms:
-                                src = c.src
-                                ce = c.energy
-                                d0[src] = d0.get(src, 0.0) + ce
-                                d1[src] = d1.get(src, 0.0) + ce
-                            if hold_reserves:
-                                for p in parents[task]:
-                                    src = assignments[p].machine
-                                    rel = edge_reserve.get((p, task), 0.0)
-                                    d0[src] = d0.get(src, 0.0) - rel
-                                    d1[src] = d1.get(src, 0.0) - rel
-                                w01 = wc_col[idx]
-                                if w01 is None:
-                                    w0 = wc_memo.get(
-                                        (task, machine, _PRIMARY)
-                                    )
-                                    if w0 is None:
-                                        w0 = wc_outgoing(
-                                            task, machine, _PRIMARY
-                                        )
-                                    w1 = wc_memo.get(
-                                        (task, machine, _SECONDARY)
-                                    )
-                                    if w1 is None:
-                                        w1 = wc_outgoing(
-                                            task, machine, _SECONDARY
-                                        )
-                                    w01 = wc_col[idx] = (w0, w1)
-                                d0[machine] += w01[0]
-                                d1[machine] += w01[1]
+                        # _net_energy_demand for both versions in one walk:
+                        # per-dict float operations in exactly the generic
+                        # order, the per-version worst-case outgoing reserve
+                        # from its memo.
+                        d0 = {machine: facts[0][1]}
+                        d1 = {machine: facts[1][1]}
+                        for c in pcomms:
+                            src = c.src
+                            ce = c.energy
+                            d0[src] = d0.get(src, 0.0) + ce
+                            d1[src] = d1.get(src, 0.0) + ce
+                        if hold_reserves:
+                            for p in parents[task]:
+                                src = assignments[p].machine
+                                rel = edge_reserve.get((p, task), 0.0)
+                                d0[src] = d0.get(src, 0.0) - rel
+                                d1[src] = d1.get(src, 0.0) - rel
+                            w01 = wc_col[idx]
+                            if w01 is None:
+                                w0 = wc_memo.get((task, machine, _PRIMARY))
+                                if w0 is None:
+                                    w0 = wc_outgoing(task, machine, _PRIMARY)
+                                w1 = wc_memo.get((task, machine, _SECONDARY))
+                                if w1 is None:
+                                    w1 = wc_outgoing(task, machine, _SECONDARY)
+                                w01 = wc_col[idx] = (w0, w1)
+                            d0[machine] += w01[0]
+                            d1[machine] += w01[1]
                         # _demand_shortfall's verdict, against the hoisted
                         # budgets (nothing commits mid-build).
                         vf0 = True
@@ -681,20 +603,19 @@ class ColumnarPool:
                         cands[idx] = None
                     else:
                         wenergy = facts[win][1]
-                        plan = object.__new__(ExecutionPlan)
-                        plan.__dict__.update({
-                            "task": task,
-                            "version": _PRIMARY if win == 0 else _SECONDARY,
-                            "machine": machine,
-                            "start": start0[idx] if win == 0 else start1[idx],
-                            "finish": finish0[idx] if win == 0 else finish1[idx],
-                            "exec_energy": wenergy,
-                            "comms": pcomms,
-                            "energy_delta": wenergy + comm_energy,
-                            "data_ready": data_ready,
-                            "feasible": True,
-                            "reason": "",
-                        })
+                        plan = _new_execution_plan(
+                            task,
+                            _PRIMARY if win == 0 else _SECONDARY,
+                            machine,
+                            start0[idx] if win == 0 else start1[idx],
+                            finish0[idx] if win == 0 else finish1[idx],
+                            wenergy,
+                            pcomms,
+                            wenergy + comm_energy,
+                            data_ready,
+                            True,
+                            "",
+                        )
                         kind[idx] = _CANDIDATE
                         pairs[idx] = [
                             plan if win == 0 else None,
@@ -716,29 +637,8 @@ class ColumnarPool:
                     feas0[idx] = 1 if vf0 else 0
                     feas1[idx] = 1 if vf1 else 0
                     token_col[idx] = token
-                    if cache_on:
-                        if entry is None:
-                            entry = self._new_cache_entry(
-                                task,
-                                machine,
-                                not_before,
-                                pcomms,
-                                dr_floor,
-                                local_floor,
-                                min_comm,
-                                epoch,
-                                deps,
-                            )
-                        # The pair layer is superseded by the columns: a
-                        # later generic probe (e.g. SLRH-2's stale-pool
-                        # walk) reuses the comm facts and demands through
-                        # _plan_pair, never a stale pair.
-                        entry.pair = None
-                        entry.pair_nb = not_before
-                        entry.demands = (d0, d1)
-                # Certificate stamps: the target machine plus every parent's
-                # machine — exactly the set a commit can move.  Order is
-                # irrelevant: validity is a conjunction over the set.
+                # Certificate stamps.  Order is irrelevant: validity is a
+                # conjunction over the set.
                 db = dep_base + dep_off[task]
                 d = 0
                 for j in deps:
@@ -757,135 +657,22 @@ class ColumnarPool:
             perf.inc("pool.reuse_hits", reused)
         if invalidated:
             perf.inc("pool.invalidations", invalidated)
-        # Plan-cache bookkeeping, batched per build (the fused path never
-        # takes a pair hit — its pair layer lives in the columns).
-        if n_hit:
-            perf.inc("plan.cache.comm_hit", n_hit)
-        if n_shift:
-            perf.inc("plan.cache.comm_shift", n_shift)
-        if n_miss:
-            perf.inc("plan.cache.comm_miss", n_miss)
-        n_pairs = n_hit + n_shift + n_miss
         if n_pairs:
-            perf.inc("plan.cache.pair_miss", n_pairs)
             perf.inc("plan.pairs", n_pairs)
         return pool, min_release
 
-    def _new_cache_entry(
-        self,
-        task: int,
-        machine: int,
-        not_before: float,
-        comms: tuple,
-        dr_floor: float,
-        local_floor: float,
-        min_comm: float,
-        epoch: int,
-        deps: set[int],
-    ) -> _PlanCacheEntry:
-        """Create and register a plan-cache entry carrying the comm facts a
-        generic ``_plan_pair`` miss would store — same validity
-        certificates, same replay facts — so incremental-mode code can keep
-        reusing entries the fused paths write (and vice versa)."""
-        schedule = self.schedule
-        in_tl = schedule.in_channel[machine]
-        entry = _PlanCacheEntry()
-        entry.parent_epoch = epoch
-        entry.insertion = False
-        entry.comms = comms
-        entry.dr_floor = dr_floor
-        entry.comm_nb = not_before
-        entry.min_comm_start = min_comm
-        entry.in_version = entry.base_in_version = in_tl.version
-        entry.in_release = in_tl.release_version
-        entry.local_floor = local_floor
-        if comms:
-            out_channel = schedule.out_channel
-            assignments = schedule.assignments
-            seen: dict[int, tuple[int, int]] = {}
-            lb_floors = []
-            base_starts = []
-            window_ends = []
-            # Immutable replay facts (see _shift_comms), one pass.
-            for c in comms:
-                src = c.src
-                if src not in seen:
-                    otl = out_channel[src]
-                    seen[src] = (otl.version, otl.release_version)
-                lb_floors.append(assignments[c.parent].finish)
-                start = c.start
-                base_starts.append(start)
-                we = out_channel[src].next_busy_start_after(start)
-                wi = in_tl.next_busy_start_after(start)
-                window_ends.append(we if we <= wi else wi)
-            entry.out_versions = tuple(
-                (src, v, rel) for src, (v, rel) in seen.items()
-            )
-            entry.base_out_versions = tuple(
-                (src, v) for src, (v, rel) in seen.items()
-            )
-            entry.lb_floors = tuple(lb_floors)
-            entry.base_starts = tuple(base_starts)
-            entry.window_ends = tuple(window_ends)
-        else:
-            entry.out_versions = ()
-            entry.base_out_versions = ()
-            entry.lb_floors = ()
-            entry.base_starts = ()
-            entry.window_ends = ()
-        entry.dep_machines = tuple(sorted(deps))
-        schedule._plan_cache.setdefault(task, {})[(machine, False)] = entry
-        return entry
-
     def replan(self, task: int, version, machine: int, not_before: float):
         """Fused twin of :meth:`Schedule.plan` for the stale-pool walk
-        (SLRH-2): the same plan-cache probes, demand verdicts and placement
-        as the generic path, materialising only the requested version's
-        plan.  Every committed plan is byte-identical to the generic
-        path's; infeasible plans carry an empty ``reason`` string — the
-        kernel reads reasons only into a decision ledger, and ledgered
+        (SLRH-2): the same channel-slot search, demand verdicts and
+        placement as the generic path, materialising only the requested
+        version's plan.  Every committed plan is byte-identical to the
+        generic path's; infeasible plans carry an empty ``reason`` string —
+        the kernel reads reasons only into a decision ledger, and ledgered
         runs never take this path (the kernel falls back to
         ``Schedule.plan``)."""
         schedule = self.schedule
-        perf = schedule.perf
-        vi = 0 if version is _PRIMARY else 1
-        epoch = schedule.parent_epochs()[task]
-        cache_on = schedule.plan_cache_enabled
-        entry = None
-        pcomms = None
-        dr_floor = 0.0
-        local_floor = 0.0
-        min_comm = math.inf
-        if cache_on:
-            per_task = schedule._plan_cache.get(task)
-            if per_task is not None:
-                entry = per_task.get((machine, False))
-            if entry is not None:
-                if schedule._comm_entry_valid(entry, machine, not_before, epoch):
-                    perf.inc("plan.cache.comm_hit")
-                    pcomms = entry.comms
-                    dr_floor = entry.dr_floor
-                    min_comm = entry.min_comm_start
-                else:
-                    shifted = schedule._shift_comms(
-                        entry, machine, not_before, epoch
-                    )
-                    if shifted is not None:
-                        perf.inc("plan.cache.comm_shift")
-                        pcomms, dr_floor = shifted
-                        min_comm = entry.min_comm_start
-                    else:
-                        entry = None
-        if pcomms is None:
-            perf.inc("plan.cache.comm_miss")
-            pcomms, dr_floor, local_floor = schedule._plan_comms_floor(
-                task, machine, not_before
-            )
-            for c in pcomms:
-                if c.start < min_comm:
-                    min_comm = c.start
-        perf.inc("plan.cache.pair_miss")
-        perf.inc("plan.pairs")
+        schedule.perf.inc("plan.pairs")
+        pcomms, dr_floor = schedule._plan_comms_floor(task, machine, not_before)
         data_ready = max(not_before, dr_floor)
         offline_set = schedule.offline
         offline = machine in offline_set
@@ -897,63 +684,34 @@ class ColumnarPool:
         facts = schedule._exec_static.get((task, machine))
         if facts is None:
             facts = schedule.exec_facts(task, machine)
-        d0 = d1 = None
+        duration, exec_energy = facts[0 if version is _PRIMARY else 1]
         feasible = False
         if not offline:
-            if entry is not None:
-                d0, d1 = entry.demands
-            if d0 is None or d1 is None:
-                d0 = schedule._net_energy_demand(
-                    task, machine, _PRIMARY, facts[0][1], pcomms
-                )
-                d1 = schedule._net_energy_demand(
-                    task, machine, _SECONDARY, facts[1][1], pcomms
-                )
+            demand = schedule._net_energy_demand(
+                task, machine, version, exec_energy, pcomms
+            )
             avail = schedule.available_energy
             feasible = True
-            for j, amount in (d0 if vi == 0 else d1).items():
+            for j, amount in demand.items():
                 if amount > avail(j) * _BUDGET_SLACK + 1e-12:
                     feasible = False
                     break
-        duration, exec_energy = facts[vi]
         if feasible:
             # Append-only placement at the (post-commit) calendar tail.
             start = max(data_ready, schedule.exec_timeline[machine].tail)
         else:
             # Dead plans anchor at their data-ready time (see _plan_pair).
             start = data_ready
-        plan = object.__new__(ExecutionPlan)
-        plan.__dict__.update({
-            "task": task,
-            "version": version,
-            "machine": machine,
-            "start": start,
-            "finish": start + duration,
-            "exec_energy": exec_energy,
-            "comms": pcomms,
-            "energy_delta": exec_energy + comm_energy,
-            "data_ready": data_ready,
-            "feasible": feasible,
-            "reason": "",
-        })
-        if cache_on:
-            if entry is None:
-                deps = {machine}
-                assignments = schedule.assignments
-                for p in schedule.scenario.dag.parents[task]:
-                    deps.add(assignments[p].machine)
-                entry = self._new_cache_entry(
-                    task,
-                    machine,
-                    not_before,
-                    pcomms,
-                    dr_floor,
-                    local_floor,
-                    min_comm,
-                    epoch,
-                    deps,
-                )
-            entry.pair = None
-            entry.pair_nb = not_before
-            entry.demands = (d0, d1)
-        return plan
+        return _new_execution_plan(
+            task,
+            version,
+            machine,
+            start,
+            start + duration,
+            exec_energy,
+            pcomms,
+            exec_energy + comm_energy,
+            data_ready,
+            feasible,
+            "",
+        )

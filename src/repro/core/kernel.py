@@ -25,7 +25,7 @@ re-scored.  :class:`CandidatePool` instead maintains one pool entry per
 * the tick moving ``not_before`` — an entry survives the clock advance
   only when its certificates prove a fresh plan would be byte-identical
   (its data-ready floor dominates both clocks and every planned transfer
-  starts at/after the new clock, mirroring the plan cache's rules);
+  starts at/after the new clock);
 * churn (offline/online flips, rollbacks, external debits) — handled
   wholesale by :meth:`CandidatePool.invalidate_all`, which :meth:`run`
   performs on entry so a kernel persisted across churn segments re-bases

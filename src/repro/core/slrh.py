@@ -68,11 +68,6 @@ class SlrhConfig:
     #: energy first (spreads energy drain), ``round_robin`` rotates the
     #: starting machine every tick (spreads the first-pick advantage).
     machine_order: str = "index"
-    #: Reuse tentative :class:`~repro.sim.schedule.ExecutionPlan`s across
-    #: pool evaluations when the state they depend on is unchanged (see
-    #: the plan cache in :mod:`repro.sim.schedule`).  Mapping results are
-    #: identical either way; disabling is for benchmarking.
-    plan_cache: bool = True
     #: Cycles the mapper itself needs to produce a decision.  §IV warns
     #: that "the execution time of the heuristic in a real-time field
     #: application ... could lead to significantly larger minimum ΔT
@@ -255,7 +250,7 @@ class SlrhScheduler:
         if tracer is None:
             tracer = NULL_TRACER
         if schedule is None:
-            schedule = Schedule(scenario, plan_cache=cfg.plan_cache, tracer=tracer)
+            schedule = Schedule(scenario, tracer=tracer)
         elif schedule.scenario is not scenario:
             raise ValueError("schedule was built for a different scenario")
         elif tracer is not NULL_TRACER:

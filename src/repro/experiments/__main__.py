@@ -24,7 +24,7 @@ Figures 3-7 share one cached weight-optimisation study, so requesting
 several of them costs little more than one.
 
 When the weight-optimisation study runs, its merged performance counters
-(plan-cache hit rates, pool sizes, per-phase wall time — see
+(plans computed, pool sizes and reuse, per-phase wall time — see
 :mod:`repro.perf`) are written as JSON next to the benchmark artefacts:
 ``benchmarks/out/perf_<scale>.json`` by default, or ``--perf-out PATH``.
 
@@ -103,9 +103,9 @@ def map_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--beta", type=float, default=None, help="objective β")
     parser.add_argument(
         "--kernel", default=None, choices=("columnar", "incremental", "rebuild"),
-        help="candidate-pool maintenance mode for the scheduling kernel "
-        "(default: $REPRO_KERNEL or 'columnar'; mappings are byte-identical "
-        "in every mode — 'rebuild' is the differential oracle, 'incremental' "
+        help="candidate-pool maintenance mode for the SLRH family's "
+        "scheduling kernel (default: $REPRO_KERNEL or 'columnar'; mappings "
+        "are byte-identical in every mode — 'rebuild' is the differential oracle, 'incremental' "
         "the object-graph delta pool, 'columnar' the flat-array hot path)",
     )
     parser.add_argument(
@@ -135,10 +135,6 @@ def map_main(argv: list[str] | None = None) -> int:
     from repro.obs.ledger import write_decision_log
     from repro.obs.spans import Tracer
 
-    if args.kernel is not None:
-        # The registry builds schedulers with kernel=None, which defers to
-        # $REPRO_KERNEL — the flag is just a spelling of that contract.
-        os.environ["REPRO_KERNEL"] = args.kernel
     if args.scenario is not None:
         doc = _json.loads(pathlib.Path(args.scenario).read_text())
     else:
@@ -155,6 +151,7 @@ def map_main(argv: list[str] | None = None) -> int:
             args.beta,
             ledger=bool(args.ledger_out),
             tracer=tracer,
+            kernel=args.kernel,
         )
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
@@ -314,7 +311,10 @@ def churn_sweep_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def build_report(scale, only: list[str]) -> str:
+def build_report(scale, only: list[str], jobs: int | None = None) -> str:
+    """The text report for the *only* sections at *scale*; *jobs* is the
+    worker count for the fan-out studies (``None``: ``$REPRO_JOBS`` or
+    serial)."""
     parts: list[str] = [
         f"SLRH reproduction report — scale '{scale.name}' "
         f"(|T|={scale.n_tasks}, {scale.n_etc} ETC x {scale.n_dag} DAG)",
@@ -322,9 +322,9 @@ def build_report(scale, only: list[str]) -> str:
     if "tables" in only:
         parts.append(render_tables(scale))
     if "fig2" in only:
-        parts.append(figure2_delta_t_sweep(scale).render())
+        parts.append(figure2_delta_t_sweep(scale, n_jobs=jobs).render())
     if "fig3" in only:
-        fig3 = figure3_weight_sensitivity(scale)
+        fig3 = figure3_weight_sensitivity(scale, n_jobs=jobs)
         parts.append(fig3.render())
         rate = fig3.slrh2_success_rate()
         if rate is not None:
@@ -336,7 +336,7 @@ def build_report(scale, only: list[str]) -> str:
         ("fig7", figure7_value_metric),
     ):
         if key in only:
-            parts.append(fn(scale).render())
+            parts.append(fn(scale, n_jobs=jobs).render())
     return "\n\n".join(parts)
 
 
@@ -378,16 +378,14 @@ def main(argv: list[str] | None = None) -> int:
         "benchmarks/out/perf_<scale>.json; '-' disables)",
     )
     args = parser.parse_args(argv)
-    if args.jobs is not None:
-        try:
-            jobs = resolve_jobs(args.jobs)
-        except ValueError as exc:
-            parser.error(f"--jobs: {exc}")
-        os.environ["REPRO_JOBS"] = str(jobs)
+    try:
+        jobs = resolve_jobs(args.jobs)
+    except ValueError as exc:
+        parser.error(f"--jobs: {exc}")
 
     scale = _PRESETS[args.scale] if args.scale else scale_from_env()
     start = time.perf_counter()
-    report = build_report(scale, args.only)
+    report = build_report(scale, args.only, jobs=jobs)
     elapsed = time.perf_counter() - start
     report += f"\n\ngenerated in {elapsed:.1f}s"
     print(report)
@@ -402,14 +400,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.perf_out != "-" and set(args.only) & {
         "tables", "fig3", "fig4", "fig5", "fig6", "fig7"
     }:
-        results = run_comparison(scale)
+        results = run_comparison(scale, n_jobs=jobs)
         path = pathlib.Path(args.perf_out or f"benchmarks/out/perf_{scale.name}.json")
         path.parent.mkdir(parents=True, exist_ok=True)
         write_perf_json(
             path,
             results.perf_snapshot(),
             scale=scale.name,
-            jobs=resolve_jobs(None),
+            jobs=jobs,
             wall_seconds=elapsed,
             command="python -m repro.experiments",
         )

@@ -51,15 +51,26 @@ class Figure2Result:
         )
 
 
-def figure2_delta_t_sweep(scale: ExperimentScale = SMALL_SCALE) -> Figure2Result:
-    """Figure 2: T100 and heuristic runtime vs ΔT, SLRH-1, ETC 0, two DAGs."""
+def figure2_delta_t_sweep(
+    scale: ExperimentScale = SMALL_SCALE, n_jobs: int | None = None
+) -> Figure2Result:
+    """Figure 2: T100 and heuristic runtime vs ΔT, SLRH-1, ETC 0, two DAGs.
+
+    ``n_jobs`` fans each sweep's points out as in
+    :func:`~repro.tuning.sweeps.sweep_delta_t`."""
     suite = scale.suite()
     n_dags = min(2, suite.n_dag)
     series = []
     for d in range(n_dags):
         scenario = suite.scenario(0, d, "A")
         series.append(
-            sweep_delta_t(SLRH1, scenario, FIG2_WEIGHTS, values=scale.delta_t_values)
+            sweep_delta_t(
+                SLRH1,
+                scenario,
+                FIG2_WEIGHTS,
+                values=scale.delta_t_values,
+                n_jobs=n_jobs,
+            )
         )
     return Figure2Result(delta_t_values=tuple(scale.delta_t_values), series=series)
 
@@ -100,13 +111,20 @@ class Figure3Result:
         return sum(rates) / len(rates)
 
 
-def figure3_weight_sensitivity(scale: ExperimentScale = SMALL_SCALE) -> Figure3Result:
-    """Figure 3: average/min/max optimal (α, β) per case and heuristic."""
-    return Figure3Result(comparison=run_comparison(scale))
+def figure3_weight_sensitivity(
+    scale: ExperimentScale = SMALL_SCALE, n_jobs: int | None = None
+) -> Figure3Result:
+    """Figure 3: average/min/max optimal (α, β) per case and heuristic.
+
+    Figures 3-7 are views over one :func:`run_comparison` study; ``n_jobs``
+    is its worker count."""
+    return Figure3Result(comparison=run_comparison(scale, n_jobs=n_jobs))
 
 
-def _metric_figure(scale: ExperimentScale, attr: str, title: str):
-    comparison = run_comparison(scale)
+def _metric_figure(
+    scale: ExperimentScale, attr: str, title: str, n_jobs: int | None
+):
+    comparison = run_comparison(scale, n_jobs=n_jobs)
     rows = []
     for heuristic in PLOTTED_HEURISTICS:
         row: list = [heuristic]
@@ -134,37 +152,49 @@ class MetricFigureResult:
         return self.text
 
 
-def figure4_t100_comparison(scale: ExperimentScale = SMALL_SCALE) -> MetricFigureResult:
+def figure4_t100_comparison(
+    scale: ExperimentScale = SMALL_SCALE, n_jobs: int | None = None
+) -> MetricFigureResult:
     """Figure 4: mean T100 per heuristic per case (optimal weights)."""
     rows, text = _metric_figure(
         scale, "t100_mean",
         f"Figure 4. Mean T100 per heuristic per case ({scale.name} scale)",
+        n_jobs,
     )
     return MetricFigureResult(rows=rows, text=text)
 
 
-def figure5_vs_upper_bound(scale: ExperimentScale = SMALL_SCALE) -> MetricFigureResult:
+def figure5_vs_upper_bound(
+    scale: ExperimentScale = SMALL_SCALE, n_jobs: int | None = None
+) -> MetricFigureResult:
     """Figure 5: mean T100 / upper bound per heuristic per case."""
     rows, text = _metric_figure(
         scale, "vs_bound_mean",
         f"Figure 5. Mean T100 relative to the upper bound ({scale.name} scale)",
+        n_jobs,
     )
     return MetricFigureResult(rows=rows, text=text)
 
 
-def figure6_execution_time(scale: ExperimentScale = SMALL_SCALE) -> MetricFigureResult:
+def figure6_execution_time(
+    scale: ExperimentScale = SMALL_SCALE, n_jobs: int | None = None
+) -> MetricFigureResult:
     """Figure 6: mean heuristic execution time per heuristic per case."""
     rows, text = _metric_figure(
         scale, "exec_time_mean",
         f"Figure 6. Mean heuristic execution time, seconds ({scale.name} scale)",
+        n_jobs,
     )
     return MetricFigureResult(rows=rows, text=text)
 
 
-def figure7_value_metric(scale: ExperimentScale = SMALL_SCALE) -> MetricFigureResult:
+def figure7_value_metric(
+    scale: ExperimentScale = SMALL_SCALE, n_jobs: int | None = None
+) -> MetricFigureResult:
     """Figure 7: mean T100 per second of heuristic execution time."""
     rows, text = _metric_figure(
         scale, "value_metric_mean",
         f"Figure 7. T100 per second of heuristic execution time ({scale.name} scale)",
+        n_jobs,
     )
     return MetricFigureResult(rows=rows, text=text)

@@ -63,13 +63,17 @@ DEFAULT_BETA = 0.2
 
 
 def _slrh(cls: type) -> Callable[..., Heuristic]:
-    def build(weights: Weights, ledger: bool = False) -> Heuristic:
-        return cls(SlrhConfig(weights=weights, ledger=ledger))
+    def build(
+        weights: Weights, ledger: bool = False, kernel: str | None = None
+    ) -> Heuristic:
+        return cls(SlrhConfig(weights=weights, ledger=ledger, kernel=kernel))
 
     return build
 
 
-def _maxmax(weights: Weights, ledger: bool = False) -> MaxMaxScheduler:
+def _maxmax(
+    weights: Weights, ledger: bool = False, kernel: str | None = None
+) -> MaxMaxScheduler:
     if ledger:
         raise ValueError("the decision ledger is only supported by the SLRH family")
     return MaxMaxScheduler(MaxMaxConfig(weights=weights))
@@ -127,7 +131,10 @@ def display_name(name: str) -> str:
 
 
 def make_scheduler(
-    name: str, weights: Weights | None = None, ledger: bool = False
+    name: str,
+    weights: Weights | None = None,
+    ledger: bool = False,
+    kernel: str | None = None,
 ) -> Heuristic:
     """Build the scheduler registered under *name*.
 
@@ -136,12 +143,15 @@ def make_scheduler(
     baselines (Min-Min, Greedy) reject explicit weights rather than
     silently ignoring them.  *ledger* turns the decision ledger on
     (:mod:`repro.obs.ledger`; SLRH family only — other heuristics raise).
+    *kernel* picks the SLRH family's candidate-pool mode (see
+    :func:`repro.core.kernel.resolve_kernel_mode`; ``None`` defers to
+    ``$REPRO_KERNEL``); the static baselines have no pool and ignore it.
     """
     canonical = normalize_heuristic(name)
     if canonical in _WEIGHTED:
         if weights is None:
             weights = Weights.from_alpha_beta(DEFAULT_ALPHA, DEFAULT_BETA)
-        return _WEIGHTED[canonical][1](weights, ledger=ledger)
+        return _WEIGHTED[canonical][1](weights, ledger=ledger, kernel=kernel)
     if weights is not None:
         raise ValueError(f"heuristic {canonical!r} does not take objective weights")
     if ledger:
@@ -157,6 +167,7 @@ def run_heuristic(
     *,
     ledger: bool = False,
     tracer: "Tracer | None" = None,
+    kernel: str | None = None,
 ) -> MappingResult:
     """Map *scenario* with the heuristic registered under *name*.
 
@@ -168,6 +179,7 @@ def run_heuristic(
     *tracer* (a :class:`repro.obs.spans.Tracer`) records the span tree;
     both require an SLRH-family heuristic (:data:`SLRH_FAMILY`) and both
     leave the mapping bytes untouched — they only add observability.
+    *kernel* is passed to :func:`make_scheduler`.
     """
     canonical = normalize_heuristic(name)
     if tracer is not None and canonical not in SLRH_FAMILY:
@@ -177,7 +189,7 @@ def run_heuristic(
             DEFAULT_ALPHA if alpha is None else float(alpha),
             DEFAULT_BETA if beta is None else float(beta),
         )
-        scheduler = make_scheduler(canonical, weights, ledger=ledger)
+        scheduler = make_scheduler(canonical, weights, ledger=ledger, kernel=kernel)
         if canonical in SLRH_FAMILY:
             return scheduler.map(scenario, tracer=tracer)
         return scheduler.map(scenario)

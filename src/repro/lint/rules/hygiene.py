@@ -1,8 +1,8 @@
 """API-hygiene rules: small, high-signal checks over all of ``src/repro``.
 
 * ``no-mutable-default`` — a ``def f(x=[])`` default is shared across
-  calls; with the planning cache and the service's long-lived workers,
-  such sharing is a cross-request state leak, not a style nit.
+  calls; with the service's long-lived workers and sessions, such
+  sharing is a cross-request state leak, not a style nit.
 * ``no-bare-except`` — ``except:`` swallows ``KeyboardInterrupt`` and
   ``SystemExit``, which the daemon relies on for drain/shutdown.
 * ``no-assert`` — ``assert`` disappears under ``python -O``; runtime

@@ -6,7 +6,7 @@ negotiates the standard text format with ``Accept: text/plain`` or
 ``?format=prom`` and gets this module's rendering of the same snapshot:
 
 * **counters** → ``counter`` metrics, suffixed ``_total`` per convention
-  (``plan.cache.pair_hit`` → ``repro_plan_cache_pair_hit_total``);
+  (``plan.pairs`` → ``repro_plan_pairs_total``);
 * **gauges** and the ``derived`` rates → ``gauge`` metrics;
 * **histograms** → ``summary`` metrics: one ``{quantile="..."}`` sample
   per exact nearest-rank percentile plus ``_sum`` and ``_count``.

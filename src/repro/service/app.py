@@ -56,7 +56,7 @@ Routes (all bodies JSON; streaming endpoints NDJSON):
     too.
 ``GET /metrics``
     The live ``repro.perf/2`` registry: engine counters merged from every
-    completed job (plan-cache hit rates …), service gauges (queue depth,
+    completed job (plans computed, pool reuse …), service gauges (queue depth,
     in-flight) and latency histograms with p50/p95/p99.  Content
     negotiated: JSON by default; ``Accept: text/plain`` or
     ``?format=prom`` returns Prometheus text exposition

@@ -552,7 +552,7 @@ class ShardRouter:
                 self.perf.observe(
                     "service.map_seconds", outcome["heuristic_seconds"]
                 )
-                self.perf.merge(outcome["perf"])  # engine counters (plan cache …)
+                self.perf.merge(outcome["perf"])  # engine counters (plan.*, pool.* …)
             self.perf.observe(
                 "service.request_seconds", job.finished_at - job.submitted_at
             )

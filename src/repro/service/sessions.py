@@ -290,7 +290,7 @@ class SessionManager:
 
     def note_closed(self, session: LiveSession) -> None:
         """Account a just-closed session: merge its engine counters
-        (plan-cache hit rates …) into the service registry, once."""
+        (plans computed, pool reuse …) into the service registry, once."""
         snapshot = session.take_perf_snapshot()
         if snapshot is None:
             return  # a later batch on an already-closed session

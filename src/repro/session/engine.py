@@ -114,9 +114,8 @@ class SessionEngine:
                 "SLRH-family scheduler; static baselines have no clock"
             )
         config = getattr(scheduler, "config", None)
-        plan_cache = getattr(config, "plan_cache", True)
         self.cycle_seconds = getattr(config, "cycle_seconds", CYCLE_SECONDS)
-        self.schedule = Schedule(scenario, plan_cache=plan_cache)
+        self.schedule = Schedule(scenario)
         for task in self.pending:
             self.schedule.set_release(task, math.inf)
         self.kernel = (

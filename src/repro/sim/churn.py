@@ -122,7 +122,7 @@ def run_with_churn(
     for ev in events:
         if not 0 <= ev.machine < scenario.n_machines:
             raise IndexError(f"no machine {ev.machine}")
-    schedule = Schedule(scenario, plan_cache=scheduler.config.plan_cache)
+    schedule = Schedule(scenario)
     ordered = sorted(events, key=lambda e: e.cycle)
 
     # One kernel lives across every segment: each `map` re-bases the

@@ -29,14 +29,11 @@ class IntervalTimeline:
 
     Every successful mutation bumps :attr:`version`, a monotonically
     increasing counter; :meth:`release` additionally bumps
-    :attr:`release_version`.  The plan cache in
-    :class:`~repro.sim.schedule.Schedule` keys cached channel-slot searches
-    on the versions of the timelines they read, so invalidation is exactly
-    as wide as the calendars a commit actually touched.  The split counter
-    lets the cache exploit that :meth:`reserve` only ever *adds* busyness:
-    while ``release_version`` is unchanged, a cached slot that is still
-    free is still the earliest fit, no matter how many reservations landed
-    elsewhere.
+    :attr:`release_version`.  The split counter lets
+    :class:`~repro.sim.schedule.StaticPlanMemo` exploit that
+    :meth:`reserve` only ever *adds* busyness: while ``release_version``
+    is unchanged, a stored slot that is still free is still the earliest
+    fit, no matter how many reservations landed elsewhere.
     """
 
     __slots__ = ("_busy", "version", "release_version")
@@ -76,12 +73,6 @@ class IntervalTimeline:
         if i + 1 < len(self._busy) and self._busy[i + 1][0] < end - _EPS:
             return False
         return True
-
-    def next_busy_start_after(self, t: float) -> float:
-        """Start of the first busy interval beginning strictly after *t*
-        (``inf`` when none) — the end of the free window around a slot."""
-        i = bisect_right(self._busy, (t, float("inf")))
-        return self._busy[i][0] if i < len(self._busy) else float("inf")
 
     def has_work_at_or_after(self, t: float) -> bool:
         """Whether any busy interval ends after *t* (i.e. the resource is

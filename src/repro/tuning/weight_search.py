@@ -24,6 +24,7 @@ The best point maximises T100; ties break toward lower AET, then lower
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -145,8 +146,20 @@ def search_weights(
         independent mappings).  Defaults to ``$REPRO_JOBS`` else serial;
         results are identical at any job count — the merge below walks
         the results in grid order, reproducing the serial best/tie logic.
+        Fanning out ships *factory* to the workers, so it must then be
+        picklable (a module-level function or a ``functools.partial`` of
+        one); a lambda raises :class:`TypeError` here, not in a worker.
     """
     n_jobs = resolve_jobs(n_jobs)
+    if n_jobs > 1:
+        try:
+            pickle.dumps(factory)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise TypeError(
+                f"factory {factory!r} cannot be pickled, so it cannot fan out "
+                f"over {n_jobs} worker processes; pass a module-level function "
+                "(or a functools.partial of one), or n_jobs=1"
+            ) from exc
     out = WeightSearchResult(best_weights=None, best_result=None)
     best_key = None
     best_point: tuple[float, float] | None = None

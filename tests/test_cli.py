@@ -48,12 +48,23 @@ def test_module_invocation_subprocess():
 
 
 def test_jobs_auto_flag_resolves_to_cpu_count(monkeypatch, tmp_path):
+    import repro.experiments.__main__ as cli
+
     monkeypatch.delenv("REPRO_JOBS", raising=False)
+    seen = {}
+
+    def fake_report(scale, only, jobs=None):
+        seen["jobs"] = jobs
+        return "report"
+
+    monkeypatch.setattr(cli, "build_report", fake_report)
     rc = main(["--scale", "smoke", "--only", "fig2", "--jobs", "auto",
                "--perf-out", "-", "--out", str(tmp_path / "r.txt")])
     assert rc == 0
-    # The flag is resolved once and pinned for downstream workers.
-    assert os.environ["REPRO_JOBS"] == str(os.cpu_count() or 1)
+    # The flag is resolved once and passed down as an argument; the
+    # process environment is left alone.
+    assert seen["jobs"] == (os.cpu_count() or 1)
+    assert "REPRO_JOBS" not in os.environ
 
 
 def test_jobs_flag_rejects_garbage():
@@ -106,3 +117,23 @@ class TestMapSubcommand:
         with pytest.raises(SystemExit):
             main(["map", "--generate", "8", "--heuristic", "greedy",
                   "--alpha", "0.5"])
+
+    def test_kernel_flag_is_an_argument_not_env(self, capsysbinary, monkeypatch):
+        import repro.heuristics as registry
+
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        seen = []
+        real = registry.make_scheduler
+
+        def spy(name, weights=None, ledger=False, kernel=None):
+            seen.append(kernel)
+            return real(name, weights, ledger=ledger, kernel=kernel)
+
+        monkeypatch.setattr(registry, "make_scheduler", spy)
+        outputs = []
+        for kernel in ("rebuild", "columnar"):
+            assert main(["map", "--generate", "8", "--kernel", kernel]) == 0
+            outputs.append(capsysbinary.readouterr().out)
+        assert seen == ["rebuild", "columnar"]
+        assert outputs[0] == outputs[1]
+        assert "REPRO_KERNEL" not in os.environ

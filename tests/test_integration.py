@@ -55,13 +55,19 @@ class TestSuitePipeline:
         assert log.makespan == pytest.approx(result.schedule.makespan)
 
 
+def _slrh1(weights):
+    """Module-level (picklable) factory for the weight search, which may
+    fan out over worker processes under ``$REPRO_JOBS``."""
+    return SLRH1(SlrhConfig(weights=weights))
+
+
 class TestTauCalibrationPipeline:
     def test_calibrated_tau_admits_slrh_solutions(self, small_scenario):
         tau = calibrate_tau(small_scenario, slack=1.5)
         scenario = small_scenario.with_tau(tau)
         res = search_weights(
             scenario,
-            lambda w: SLRH1(SlrhConfig(weights=w)),
+            _slrh1,
             coarse_step=0.25,
             fine=False,
         )

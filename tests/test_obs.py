@@ -371,7 +371,7 @@ class TestExplainCLI:
 
 class TestPrometheus:
     def test_sanitize_metric_name(self):
-        assert sanitize_metric_name("plan.cache.pair_hit") == "repro_plan_cache_pair_hit"
+        assert sanitize_metric_name("pool.reuse_hits") == "repro_pool_reuse_hits"
         assert sanitize_metric_name("repro_already") == "repro_already"
         assert sanitize_metric_name("weird-char$") == "repro_weird_char_"
         assert sanitize_metric_name("9lives", namespace="") == "_9lives"
@@ -382,18 +382,15 @@ class TestPrometheus:
             "context": {"service": "repro.service"},
             "counters": {
                 "plan.pairs": 42.0,
-                "plan.cache.pair_hit": 30.0,
-                "plan.cache.pair_miss": 12.0,
+                "pool.reuse_hits": 30.0,
+                "pool.invalidations": 12.0,
                 "commit.count": 7.0,
                 "tick.count": 19.0,
                 "pool.empty_ticks": 4.0,
                 "service.submitted": 3.0,
             },
             "gauges": {"service.queue_depth": 3.0, "service.draining": 0.0},
-            "derived": {
-                "plan_cache_pair_hit_rate": 0.7142857142857143,
-                "plan_cache_comm_hit_rate": float("nan"),
-            },
+            "derived": {"pool_reuse_rate": 0.7142857142857143},
             "histograms": {
                 "service.map_seconds": {
                     "count": 4, "sum": 1.0, "mean": 0.25,
@@ -416,6 +413,7 @@ class TestPrometheus:
         assert "repro_a_b_total 1" in text
         assert 'repro_h{quantile="0.5"} 2' in text
         assert "repro_h_count 1" in text
+        assert "repro_r NaN" in render_prometheus({"derived": {"r": float("nan")}})
         assert render_prometheus({}) == ""
 
 
@@ -589,16 +587,14 @@ class TestRegressionGate:
             sys.path.pop(0)
         return check_regression
 
-    def _snapshot(self, gate, speedup=1.5, pairs=100.0, rate=0.8):
+    def _snapshot(self, gate, speedup=1.5, pairs=100.0, columnar=1.3):
         return {
             "schema": gate.SCHEMA,
             "variants": {
                 "slrh1": {
-                    "cached_seconds": 0.1,
-                    "uncached_seconds": 0.1 * speedup,
-                    "cache_speedup": speedup,
+                    "kernel_speedup": speedup,
+                    "columnar_speedup": columnar,
                     "counters": {"plan.pairs": pairs},
-                    "rates": {"pair_hit_rate": rate},
                 }
             },
         }
@@ -612,18 +608,25 @@ class TestRegressionGate:
         ok = gate.compare(self._snapshot(gate, speedup=1.6), base, 0.25)
         assert ok == []  # 20% loss: within tolerance
         bad = gate.compare(self._snapshot(gate, speedup=1.4), base, 0.25)
-        assert len(bad) == 1 and "speedup regressed" in bad[0]
+        assert len(bad) == 1 and "kernel_speedup regressed" in bad[0]
+
+    def test_columnar_speedup_regression_fails(self, gate):
+        base = self._snapshot(gate, columnar=1.6)
+        bad = gate.compare(self._snapshot(gate, columnar=1.1), base, 0.25)
+        assert len(bad) == 1 and "columnar_speedup regressed" in bad[0]
 
     def test_structural_counter_drift_fails_exactly(self, gate):
         base = self._snapshot(gate)
         bad = gate.compare(self._snapshot(gate, pairs=101.0), base, 0.25)
         assert len(bad) == 1 and "plan.pairs" in bad[0]
 
-    def test_rate_drift_fails_beyond_tolerance(self, gate):
-        base = self._snapshot(gate, rate=0.8)
-        assert gate.compare(self._snapshot(gate, rate=0.78), base, 0.25) == []
-        bad = gate.compare(self._snapshot(gate, rate=0.7), base, 0.25)
-        assert len(bad) == 1 and "pair_hit_rate" in bad[0]
+    def test_checked_in_baseline_speedups_are_wins(self, gate):
+        """A gated speedup below 1.0 in the baseline would defend a
+        slowdown rather than a win."""
+        baseline = json.loads(gate.BASELINE_PATH.read_text())
+        for name, variant in baseline["variants"].items():
+            for ratio, _, _ in gate.SPEEDUPS:
+                assert variant[ratio] >= 1.0, (name, ratio)
 
     def test_checked_in_baseline_matches_live_counters(self, gate):
         """The structural counters in the committed baseline must describe

@@ -303,7 +303,7 @@ class TestHTTPSurface:
         assert metrics["schema"] == "repro.perf/2"
         assert metrics["counters"]["service.completed"] == 2.0
         assert metrics["gauges"]["service.queue_depth"] == 0.0
-        assert 0.0 <= metrics["derived"]["plan_cache_comm_hit_rate"] <= 1.0
+        assert 0.0 <= metrics["derived"]["pool_reuse_rate"] <= 1.0
         lat = metrics["histograms"]["service.request_seconds"]
         assert lat["count"] == 2
         assert lat["p50"] <= lat["p95"] <= lat["p99"]

@@ -300,7 +300,7 @@ class TestStreamingDifferential:
         )
         oracle = run_with_events(
             scenario,
-            _scheduler("slrh1", kernel="rebuild", plan_cache=False),
+            _scheduler("slrh1", kernel="rebuild"),
             events,
             persistent=False,
         )

@@ -11,6 +11,12 @@ from repro.tuning.weight_search import (
 )
 
 
+def _slrh1(weights):
+    """Module-level (picklable) factory: the search may fan out over
+    worker processes when ``$REPRO_JOBS`` asks for them."""
+    return SLRH1(SlrhConfig(weights=weights))
+
+
 class TestSimplexGrid:
     def test_step_01_size(self):
         # 11 + 10 + ... + 1 = 66 points
@@ -53,7 +59,7 @@ class TestRefinementGrid:
 class TestSearch:
     @pytest.fixture(scope="class")
     def search_result(self, small_scenario):
-        factory = lambda w: SLRH1(SlrhConfig(weights=w))  # noqa: E731
+        factory = _slrh1
         return search_weights(
             small_scenario, factory, coarse_step=0.25, fine_step=0.125, fine=True
         )
@@ -78,12 +84,12 @@ class TestSearch:
         assert len(near) >= 1
 
     def test_coarse_only(self, small_scenario):
-        factory = lambda w: SLRH1(SlrhConfig(weights=w))  # noqa: E731
+        factory = _slrh1
         res = search_weights(small_scenario, factory, coarse_step=0.5, fine=False)
         assert res.evaluations == res.coarse_evaluations == 6
 
     def test_impossible_scenario_fails_gracefully(self, small_scenario):
-        factory = lambda w: SLRH1(SlrhConfig(weights=w))  # noqa: E731
+        factory = _slrh1
         res = search_weights(
             small_scenario.with_tau(0.5), factory, coarse_step=0.5, fine=True
         )
@@ -92,6 +98,16 @@ class TestSearch:
         assert res.accepted == []
         with pytest.raises(ValueError):
             _ = res.best_t100
+
+    def test_unpicklable_factory_rejected_before_fanning_out(self, small_scenario):
+        with pytest.raises(TypeError, match="cannot be pickled"):
+            search_weights(
+                small_scenario,
+                lambda w: SLRH1(SlrhConfig(weights=w)),
+                coarse_step=0.5,
+                fine=False,
+                n_jobs=2,
+            )
 
     def test_empty_result_near_best(self):
         res = WeightSearchResult(best_weights=None, best_result=None)
