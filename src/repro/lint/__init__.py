@@ -26,7 +26,8 @@ Rule families (see DESIGN.md §12 for the invariant ↔ PR mapping):
   that documents holding it) — a lightweight static race detector for
   the service's dispatcher/worker/handler threads.
 * **hygiene** — no mutable default arguments, no bare ``except:``, no
-  ``assert`` for runtime validation anywhere in ``src/repro``.
+  ``assert`` for runtime validation, and no ``os.environ`` writes
+  outside ``__main__.py`` entry points, anywhere in ``src/repro``.
 
 Four *whole-program* families (PR 10) run against a project-wide symbol
 table and call graph (:mod:`repro.lint.callgraph`) instead of one file at

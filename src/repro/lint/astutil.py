@@ -59,7 +59,13 @@ def resolved_call_target(call: ast.Call, origins: dict[str, str]) -> str | None:
     an unresolvable target (method on a local object) → its syntactic
     dotted form, or ``None``.
     """
-    dotted = dotted_name(call.func)
+    return resolved_name(call.func, origins)
+
+
+def resolved_name(node: ast.AST, origins: dict[str, str]) -> str | None:
+    """A Name/Attribute chain's dotted origin, imports resolved (see
+    :func:`resolved_call_target`); ``None`` for any other expression."""
+    dotted = dotted_name(node)
     if dotted is None:
         return None
     head, _, tail = dotted.partition(".")

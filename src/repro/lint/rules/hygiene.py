@@ -8,6 +8,11 @@
 * ``no-assert`` — ``assert`` disappears under ``python -O``; runtime
   validation must raise explicitly so a production invocation fails the
   same way the test suite does.
+* ``no-environ-write`` — configuration travels as arguments, never by
+  writing ``os.environ``: a library-level write outlives its caller and
+  leaks into every later call, test and forked worker (a CLI that set
+  ``REPRO_JOBS`` once made later tests fan out over processes).  Only
+  ``__main__.py`` entry points, which own their process, may write it.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.lint.astutil import collect_imports, resolved_call_target, resolved_name
 from repro.lint.model import FileContext, Finding
 from repro.lint.registry import register
 
@@ -98,4 +104,59 @@ def no_assert(ctx: FileContext) -> Iterator[Finding]:
                 "'assert' is stripped under python -O, so this check "
                 "silently disappears in optimised runs; raise "
                 "ValueError/RuntimeError explicitly",
+            )
+
+
+#: Calls that change the process environment.
+_ENVIRON_WRITES = frozenset(
+    {
+        "os.environ.update",
+        "os.environ.setdefault",
+        "os.environ.pop",
+        "os.environ.popitem",
+        "os.environ.clear",
+        "os.putenv",
+        "os.unsetenv",
+    }
+)
+
+
+@register(
+    "no-environ-write",
+    "api-hygiene",
+    "no writes to os.environ (item assignment/deletion, update, "
+    "setdefault, pop, clear, os.putenv/unsetenv) outside __main__.py "
+    "entry points; pass configuration as arguments",
+    scopes=HYGIENE_SCOPES,
+)
+def no_environ_write(ctx: FileContext) -> Iterator[Finding]:
+    if ctx.path.name == "__main__.py":
+        return
+    origins = collect_imports(ctx.tree)
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets: list[ast.expr]
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            else:
+                targets = [node.target]
+            written = any(
+                isinstance(t, ast.Subscript)
+                and resolved_name(t.value, origins) == "os.environ"
+                for t in targets
+            )
+            what = "os.environ[...]"
+        elif isinstance(node, ast.Call):
+            target = resolved_call_target(node, origins)
+            written = target in _ENVIRON_WRITES
+            what = f"{target}()"
+        else:
+            continue
+        if written:
+            yield no_environ_write.finding(
+                ctx,
+                node,
+                f"{what} changes the environment of the whole process and "
+                "everything it later forks; pass the value as an argument "
+                "(only __main__.py entry points may write os.environ)",
             )

@@ -147,8 +147,32 @@ def make_server(
 class ServiceHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server: ServiceServer
+    # Reply path (DESIGN.md §9.5).  An unbuffered wfile sends the header
+    # block and the body as two send()s; on a keep-alive connection Nagle
+    # then holds the body until the client ACKs the headers, which the
+    # client's delayed ACK postpones by ~40 ms.  TCP_NODELAY on the
+    # accepted socket plus a buffered wfile make each reply leave in one
+    # send() at the flush handle_one_request() (or finish()) already does;
+    # the streaming endpoints flush once per line themselves.
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     # -- plumbing ----------------------------------------------------------
+
+    def handle_one_request(self) -> None:
+        try:
+            super().handle_one_request()
+        except (BrokenPipeError, ConnectionResetError):
+            # The client left before the buffered reply was flushed: end
+            # the connection quietly instead of a handler traceback.
+            self.close_connection = True
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        except (BrokenPipeError, ConnectionResetError):
+            # Closing the wfile re-flushed a reply nobody can read.
+            self.rfile.close()
 
     def log_message(self, fmt: str, *args: object) -> None:  # pragma: no cover - log noise
         if not self.server.quiet:
@@ -237,8 +261,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 )
             else:
                 self._error(404, f"no such endpoint {self.path!r}")
-        except BrokenPipeError:  # client went away mid-response
-            pass
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # client went away mid-response
         finally:
             self._access_log("POST", started)
 
@@ -422,7 +446,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._get_session(path[len("/v1/session/"):])
             else:
                 self._error(404, f"no such endpoint {self.path!r}")
-        except BrokenPipeError:
+        except (BrokenPipeError, ConnectionResetError):
             pass
         finally:
             self._access_log("GET", started)
@@ -551,8 +575,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 }
             )
         if job.state == "succeeded":
-            for event in job.outcome["events"]:
-                line(event)
+            # The shard encoded the commit/trace lines once; they leave
+            # with the done line in the final flush.
+            self.wfile.write(job.outcome["events_ndjson"])
         line(
             {
                 "event": "done",

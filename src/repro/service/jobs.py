@@ -45,7 +45,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.heuristics import WEIGHTED_HEURISTICS, normalize_heuristic
-from repro.io.serialization import canonical_json_bytes
 from repro.obs.log import get_logger
 from repro.perf import PerfCounters, merge_registries
 from repro.service.registry import ScenarioRegistry
@@ -90,6 +89,10 @@ class Job:
     submitted_at: float = 0.0
     started_at: float | None = None
     finished_at: float | None = None
+    #: :func:`~repro.service.worker.execute_mapping`'s outcome once the
+    #: job succeeded: the reply bytes (``mapping_bytes``,
+    #: ``events_ndjson``) already encoded by the shard, plus ``perf``,
+    #: ``heuristic``, ``heuristic_seconds`` and ``summary``.
     outcome: dict | None = None
     done: threading.Event = field(default_factory=threading.Event, repr=False)
 
@@ -98,7 +101,7 @@ class Job:
         """Canonical mapping JSON of a succeeded job (None otherwise)."""
         if self.outcome is None:
             return None
-        return canonical_json_bytes(self.outcome["mapping"])
+        return self.outcome["mapping_bytes"]
 
     def status_doc(self) -> dict:
         """JSON-ready status for ``GET /v1/jobs/<id>``."""

@@ -1,11 +1,11 @@
 """The mapping executor shared by in-process and shard-process execution.
 
-:func:`execute_mapping` is a module-level function taking and returning
-only plain JSON-able values, so a shard dispatcher can run it directly
-(``--shards 1``) or ship it to a long-lived shard child process — in both
-cases through the same registry dispatch
-(:func:`repro.heuristics.run_heuristic`), which is what keeps served
-results byte-identical to the batch CLI at any shard count.
+:func:`execute_mapping` is a module-level function taking plain JSON-able
+values and returning them plus the reply bytes it already encoded, so a
+shard dispatcher can run it directly (``--shards 1``) or ship it to a
+long-lived shard child process — in both cases through the same registry
+dispatch (:func:`repro.heuristics.run_heuristic`), which is what keeps
+served results byte-identical to the batch CLI at any shard count.
 
 Each worker process keeps a small LRU of deserialised scenarios keyed by
 content digest, so a stream of requests against one hot scenario
@@ -44,7 +44,7 @@ from repro.heuristics import (
 )
 from repro.io.serialization import (
     canonical_json_bytes,
-    mapping_to_dict,
+    canonical_mapping_bytes,
     scenario_from_dict,
 )
 from repro.session import DeltaEncoder, SessionEngine, event_from_dict
@@ -244,11 +244,14 @@ def execute_mapping(
 ) -> dict:
     """Run *heuristic* on the scenario and return a plain-dict outcome.
 
-    The outcome carries the mapping document (canonicalised to bytes by
-    the caller), the tick-level trace events, the run's perf-counter
-    snapshot (including this lookup's scenario-cache stats) and a summary
-    — everything the service surfaces, nothing that needs the worker
-    process again.
+    The outcome carries the canonical mapping JSON (``mapping_bytes``),
+    the tick-level trace events as one NDJSON block (``events_ndjson``,
+    :func:`trace_events` each encoded by ``canonical_json_bytes``), the
+    run's perf-counter snapshot (including this lookup's scenario-cache
+    stats) and a summary — everything the service surfaces, nothing that
+    needs the worker process again.  Both byte payloads are encoded here,
+    in the shard, so the router neither unpickles nested documents nor
+    re-encodes them per reply, and its job table keeps only the bytes.
     """
     scenario, cache_stats = _scenario_for(scenario_id, scenario_doc)
     result = run_heuristic(heuristic, scenario, alpha, beta)
@@ -256,8 +259,10 @@ def execute_mapping(
     for key, value in cache_stats.items():
         perf[key] = perf.get(key, 0) + value
     return {
-        "mapping": mapping_to_dict(result.schedule),
-        "events": trace_events(result.trace),
+        "mapping_bytes": canonical_mapping_bytes(result.schedule),
+        "events_ndjson": b"".join(
+            canonical_json_bytes(event) for event in trace_events(result.trace)
+        ),
         "perf": perf,
         "heuristic": result.heuristic,
         "heuristic_seconds": result.heuristic_seconds,
@@ -401,7 +406,7 @@ class SessionHost:
             engine = self._sessions[session_id]["engine"]
             if not engine.closed:
                 return None
-            return canonical_json_bytes(mapping_to_dict(engine.schedule))
+            return canonical_mapping_bytes(engine.schedule)
 
     def discard(self, session_id: str) -> bool:
         """Drop a session's kernel (idle eviction upstream); returns

@@ -16,6 +16,20 @@ from repro import (
 )
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--reverse-order",
+        action="store_true",
+        help="run the collected tests in reverse order, to catch a test "
+        "that passes only because another one ran before it",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--reverse-order"):
+        items.reverse()
+
+
 @pytest.fixture(scope="session")
 def tiny_scenario():
     """12 subtasks on the paper-scaled Case A grid — fast regime-faithful

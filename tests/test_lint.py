@@ -192,6 +192,20 @@ def test_hygiene_rules_positive():
     }
 
 
+def test_no_environ_write_positive():
+    lines = {f.line for f in findings_for("core/bad_environ.py", "no-environ-write")}
+    # item set, +=, update, setdefault, module alias, imported name,
+    # putenv, del, pop, unsetenv
+    assert lines == set(range(9, 19))
+
+
+def test_no_environ_write_negative():
+    # Reads and copies are clean; an entry point may set its own process's
+    # environment.
+    assert findings_for("core/good_environ.py") == []
+    assert findings_for("tools/__main__.py") == []
+
+
 # -- suppressions -------------------------------------------------------------
 
 

@@ -4,9 +4,13 @@ contract against the batch CLI."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
+import socket
+import statistics
+import struct
 import subprocess
 import sys
 import threading
@@ -16,14 +20,21 @@ import urllib.request
 
 import pytest
 
-from repro.heuristics import HEURISTIC_NAMES, generate_named_scenario
+from repro.heuristics import HEURISTIC_NAMES, generate_named_scenario, run_heuristic
 from repro.io.serialization import (
     canonical_json_bytes,
     scenario_digest,
+    scenario_from_dict,
     scenario_to_dict,
 )
 from repro.service.app import ServiceServer, make_server
-from repro.service.jobs import DrainingError, JobManager, QueueFullError
+from repro.service.jobs import (
+    DrainingError,
+    JobManager,
+    QueueFullError,
+    ShardRouter,
+)
+from repro.service.worker import trace_events
 from repro.service.registry import ScenarioRegistry
 
 
@@ -371,6 +382,151 @@ class TestRetryAfterHeaderType:
         body = json.loads(handler.wfile.getvalue())
         assert body["retry_after"] == estimate
         assert body["queue_depth"] == 3
+
+
+# ---------------------------------------------------------------------------
+# reply path: one write per reply, TCP_NODELAY, shard-encoded bytes
+
+
+@pytest.fixture(params=[1, 2], ids=["shards1", "shards2"])
+def sharded_service(request):
+    """A live service on an ephemeral port at 1 (inline) and 2 (process)
+    shards."""
+    manager = ShardRouter(ScenarioRegistry(), shards=request.param, max_queue=16)
+    server = make_server("127.0.0.1", 0, manager)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    yield host, port, manager
+    manager.drain(timeout=60)
+    server.shutdown()
+    thread.join(timeout=10)
+    server.server_close()
+    manager.close(drain_timeout=0)
+
+
+class TestReplyPath:
+    def test_keep_alive_requests_do_not_stall(self, sharded_service):
+        """Sequential requests on one persistent connection answer fast.
+
+        A reply sent as two send()s (headers, then body) on a socket
+        without TCP_NODELAY has its body held by Nagle until the client
+        ACKs the headers, and once a keep-alive connection has left
+        Linux's quick-ACK start-up phase the client delays that ACK by
+        ~40 ms.  Every other HTTP test here goes through urllib, which
+        opens a fresh connection per request, so each exchange is the
+        first on its connection and the stall never shows; only a client
+        that reuses its connection, as this one does, can see it.
+        """
+        host, port, manager = sharded_service
+        sid, _ = manager.registry.put(_scenario_doc())
+        body = json.dumps({"scenario": sid, "heuristic": "slrh1"}).encode()
+        conn = http.client.HTTPConnection(host, port, timeout=60)
+
+        def timed(method, path, payload=None):
+            started = time.perf_counter()
+            conn.request(method, path, body=payload)
+            resp = conn.getresponse()
+            data = resp.read()
+            elapsed = time.perf_counter() - started
+            assert resp.status == 200, data
+            return elapsed
+
+        try:
+            timed("POST", "/v1/map", body)  # warm the shard's scenario LRU
+            sock = conn.sock
+            health = [timed("GET", "/healthz") for _ in range(30)]
+            maps = [timed("POST", "/v1/map", body) for _ in range(30)]
+            assert conn.sock is sock  # every request reused one connection
+        finally:
+            conn.close()
+        # The stall is >= 40 ms per reply; 20 ms leaves a wide margin for
+        # a slow host while still failing on it.
+        assert statistics.median(health) < 0.020, health
+        assert statistics.median(maps) < 0.020, maps
+
+    def test_events_body_is_byte_identical(self, sharded_service):
+        host, port, manager = sharded_service
+        doc = _scenario_doc()
+        sid, _ = manager.registry.put(doc)
+        base = f"http://{host}:{port}"
+        status, _, body = _post(
+            base, "/v1/map", {"scenario": sid, "heuristic": "slrh2", "wait": False}
+        )
+        assert status == 202
+        job_id = json.loads(body)["job"]
+        assert manager.get(job_id).done.wait(timeout=60)
+        status, _, stream = _get(base, f"/v1/jobs/{job_id}/events")
+        assert status == 200
+        reference = run_heuristic("slrh2", scenario_from_dict(doc))
+        expected = b"".join(
+            [
+                canonical_json_bytes(
+                    {"event": "status", "job": job_id, "state": "succeeded"}
+                ),
+                *(canonical_json_bytes(e) for e in trace_events(reference.trace)),
+                canonical_json_bytes(
+                    {"event": "done", "job": job_id, "state": "succeeded"}
+                ),
+            ]
+        )
+        assert stream == expected
+
+    def test_malformed_request_line_still_gets_400(self, service):
+        base, _ = service
+        host, port = base[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(b"GET /a b HTTP/1.1\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert b"Bad request syntax" in reply
+        status, _, _ = _get(base, "/healthz")  # the daemon keeps serving
+        assert status == 200
+
+    def test_client_gone_before_flush_leaves_no_traceback(self, capsys):
+        manager = JobManager(ScenarioRegistry(), n_jobs=1, max_queue=4)
+        sid, _ = manager.registry.put(_scenario_doc())
+        # Dispatcher NOT started: the handler blocks on the job until the
+        # client is gone, so its reply always meets a reset connection.
+        server = ServiceServer(("127.0.0.1", 0), manager)
+        handled = threading.Event()
+        shutdown_request = server.shutdown_request
+
+        def shutdown_and_signal(request):
+            shutdown_request(request)
+            handled.set()
+
+        server.shutdown_request = shutdown_and_signal  # type: ignore[method-assign]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            body = json.dumps({"scenario": sid}).encode()
+            sock = socket.create_connection(server.server_address[:2], timeout=30)
+            sock.sendall(
+                b"POST /v1/map HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+            )
+            deadline = time.monotonic() + 30
+            while manager.queue_depth == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert manager.queue_depth == 1
+            # Close with RST (zero linger) rather than FIN.
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+            manager.start()
+            assert handled.wait(timeout=60)
+        finally:
+            server.shutdown()
+            thread.join(timeout=10)
+            server.server_close()
+            manager.close(drain_timeout=0)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, err
+        assert manager.perf.get("service.completed") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -465,7 +465,7 @@ class TestShardBackends:
         try:
             first = shard.run_job(sid, doc, "greedy", None, None)
             second = shard.run_job(sid, doc, "greedy", None, None)
-            assert first["mapping"] == second["mapping"]
+            assert first["mapping_bytes"] == second["mapping_bytes"]
             # Second run hit the child's deserialised-scenario LRU.
             assert second["perf"].get("worker.scenario_cache_hits") == 1
             assert shard._doc_to_ship(sid, doc) is None  # already shipped
