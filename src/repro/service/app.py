@@ -34,13 +34,17 @@ Routes (all bodies JSON; streaming endpoints NDJSON):
     arrive later via ``task_arrival`` events.  429 when the bounded
     session table is full, 503 while draining.
 ``POST /v1/session/<id>/events``
-    Stream grid events in (NDJSON request body, one
-    :mod:`repro.session.events` document per line); mapping deltas
-    stream out (NDJSON response): per event one delta block — new or
+    Apply a batch of grid events (NDJSON request body, one
+    :mod:`repro.session.events` document per line) and answer its
+    mapping deltas (NDJSON response): per event one delta block — new or
     changed assignments only, in the exact per-task encoding of the
-    full-mapping NDJSON stream — and after ``close`` a final footer.  A
-    rejected event yields one ``error`` record and ends the response;
-    the session itself survives (events apply atomically).
+    full-mapping NDJSON stream — and after ``close`` a final footer.
+    The whole batch is answered in one write with ``Content-Length``
+    and the connection stays open for the next batch.  A rejected event
+    yields one ``error`` record and ends the batch; the session itself
+    survives (events apply atomically).  After ``close`` the hosting
+    shard frees the session's engine, and every later batch answers one
+    ``session is closed`` error record.
 ``GET /v1/session/<id>``
     Session status document (cursor, delta ``seq``, mapped count,
     still-pending arrivals; final summary once closed).
@@ -153,7 +157,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # client's delayed ACK postpones by ~40 ms.  TCP_NODELAY on the
     # accepted socket plus a buffered wfile make each reply leave in one
     # send() at the flush handle_one_request() (or finish()) already does;
-    # the streaming endpoints flush once per line themselves.
+    # the job events stream flushes once per line itself.
     disable_nagle_algorithm = True
     wbufsize = -1
 
@@ -229,10 +233,30 @@ class ServiceHandler(BaseHTTPRequestHandler):
             headers["Retry-After"] = str(int(extra["retry_after"]))
         self._send_json(status, {"error": message, **extra}, extra_headers=headers)
 
-    def _read_body(self) -> dict | None:
+    def _read_raw_body(self) -> bytes | None:
+        """The request body: exactly ``Content-Length`` bytes.
+
+        Every POST reads it before routing, so no early reply (404, 503,
+        a bad event) leaves body bytes on a keep-alive connection to be
+        parsed as the next request.  An unusable ``Content-Length``
+        answers 400 and closes the connection: where the body ends is
+        unknown.
+        """
         try:
             length = int(self.headers.get("Content-Length", 0))
-            raw = self.rfile.read(length) if length else b""
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(
+                400,
+                {"error": "bad Content-Length"},
+                extra_headers={"Connection": "close"},
+            )
+            return None
+        return self.rfile.read(length) if length else b""
+
+    def _json_body(self, raw: bytes) -> dict | None:
+        try:
             doc = json.loads(raw) if raw else {}
         except (ValueError, json.JSONDecodeError):
             self._error(400, "request body must be a JSON object")
@@ -247,17 +271,20 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:
         started = time.perf_counter()
         try:
+            raw = self._read_raw_body()
+            if raw is None:
+                return
             if self.path == "/v1/scenarios":
-                self._post_scenarios()
+                self._post_scenarios(raw)
             elif self.path == "/v1/map":
-                self._post_map()
+                self._post_map(raw)
             elif self.path == "/v1/session":
-                self._post_session()
+                self._post_session(raw)
             elif self.path.startswith("/v1/session/") and self.path.endswith(
                 "/events"
             ):
                 self._post_session_events(
-                    self.path[len("/v1/session/"):-len("/events")]
+                    self.path[len("/v1/session/"):-len("/events")], raw
                 )
             else:
                 self._error(404, f"no such endpoint {self.path!r}")
@@ -266,8 +293,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         finally:
             self._access_log("POST", started)
 
-    def _post_scenarios(self) -> None:
-        body = self._read_body()
+    def _post_scenarios(self, raw: bytes) -> None:
+        body = self._json_body(raw)
         if body is None:
             return
         gen = body.get("generate")
@@ -302,8 +329,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             },
         )
 
-    def _post_map(self) -> None:
-        body = self._read_body()
+    def _post_map(self, raw: bytes) -> None:
+        body = self._json_body(raw)
         if body is None:
             return
         scenario_id = body.get("scenario")
@@ -351,8 +378,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 },
             )
 
-    def _post_session(self) -> None:
-        body = self._read_body()
+    def _post_session(self, raw: bytes) -> None:
+        body = self._json_body(raw)
         if body is None:
             return
         try:
@@ -386,17 +413,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
             },
         )
 
-    def _post_session_events(self, session_id: str) -> None:
-        """Apply one NDJSON batch of grid events; stream delta blocks back."""
+    def _post_session_events(self, session_id: str, raw: bytes) -> None:
+        """Apply one NDJSON batch of grid events; answer the batch's delta
+        blocks in one reply that keeps the connection open."""
         sessions = self.server.sessions
         if sessions.draining:
             self._error(503, "service is draining; not accepting session events")
-            return
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-            raw = self.rfile.read(length) if length else b""
-        except ValueError:
-            self._error(400, "bad Content-Length")
             return
         events = []
         for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -415,16 +437,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
         except KeyError:
             self._error(404, f"no such session {session_id!r}")
             return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        self.close_connection = True
-        for line in session.stream(events):
-            self.wfile.write(line)
-            self.wfile.flush()
-        if session.is_closed():
-            sessions.note_closed(session)
+        self._send(
+            200, session.apply_batch(events), content_type="application/x-ndjson"
+        )
 
     # -- GET ---------------------------------------------------------------
 

@@ -14,9 +14,9 @@ session is routed **shard-affine by session id** (numeric id modulo the
 shard count), its engine+encoder pair is hosted by that one shard's
 :class:`~repro.service.worker.SessionHost` — in exactly one process for
 the session's whole lifetime — and the :class:`LiveSession` here is a
-thin proxy shipping event batches over the shard RPC and yielding the
-delta lines that come back.  Without a router (tests constructing a bare
-``SessionManager``) a private in-process
+thin proxy shipping event batches over the shard RPC and returning the
+batch's NDJSON delta bytes that come back.  Without a router (tests
+constructing a bare ``SessionManager``) a private in-process
 :class:`~repro.service.shard.InlineShard` hosts everything, which is the
 pre-shard behaviour exactly.
 
@@ -30,14 +30,16 @@ Concurrency model:
   interleave at batch granularity and the delta ``seq`` numbers stay
   dense.
 
-Sessions are evicted after :attr:`SessionManager.idle_timeout` seconds
-without a request (closed sessions too — the final mapping stays
-retrievable until then; the hosting shard drops its kernel), and the
+The hosting shard drops a session's engine and kernel in the batch that
+closes it, keeping only the frozen status document, the final mapping
+bytes and the error count.  Sessions are evicted after
+:attr:`SessionManager.idle_timeout` seconds without a request (closed
+sessions too — the final mapping stays retrievable until then), and the
 table is bounded: opening beyond ``max_sessions`` live sessions answers
 429 upstream.
 
 A crashed shard process takes its hosted sessions with it: the next
-event batch on such a session yields one ``{"record": "error", ...}``
+event batch on such a session answers one ``{"record": "error", ...}``
 line naming the crash instead of hanging.
 """
 
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.heuristics import normalize_heuristic
 from repro.io.serialization import canonical_json_bytes
@@ -89,9 +91,7 @@ class LiveSession:
     """One open session: a proxy over its hosting shard's kernel.
 
     Every method takes ``self.lock`` itself; callers never talk to the
-    shard backend directly.  The proxy caches what the HTTP layer needs
-    between batches (closed flag, error count, the close-time perf
-    snapshot) so status checks after a stream don't need another RPC.
+    shard backend directly.
     """
 
     def __init__(
@@ -109,20 +109,19 @@ class LiveSession:
         self.perf = perf  # the service registry (mutated via manager lock paths)
         self.lock = threading.Lock()
         self.last_active = time.monotonic()  # guarded-by: lock
-        self.n_errors = 0  # guarded-by: lock
-        self._closed = False  # guarded-by: lock
-        self._perf_snapshot: dict | None = None  # guarded-by: lock
 
-    def stream(self, events: Sequence[SessionEvent]) -> Iterator[bytes]:
-        """Apply *events* in order on the hosting shard, yielding each
-        one's delta block (and the footer after ``close``).
+    def apply_batch(self, events: Sequence[SessionEvent]) -> bytes:
+        """Apply *events* in order on the hosting shard; the NDJSON of
+        each one's delta block (and the footer after ``close``).
 
-        A rejected event (time travel, unknown id, double loss …) yields
-        one ``{"record": "error", ...}`` line and ends the stream; the
+        A rejected event (time travel, unknown id, double loss …) gives
+        one ``{"record": "error", ...}`` line and ends the batch; the
         engine rejects atomically, so the session stays usable and the
         remaining events of the batch are simply not applied.  A crashed
-        shard yields one error record naming the crash — the stream
-        fails, it never hangs.
+        shard gives one error record naming the crash — the batch fails,
+        it never hangs.  The batch that closes the session merges the
+        engine's counters (plans computed, pool reuse …) into the
+        service registry; the shard hands them over only that once.
         """
         with self.lock:
             self.last_active = time.monotonic()
@@ -131,45 +130,29 @@ class LiveSession:
                     self.id, [event.to_dict() for event in events]
                 )
             except ShardCrashedError as exc:
-                self.n_errors += 1
                 self.perf.inc("session.event_errors")
-                yield canonical_json_bytes(
+                return canonical_json_bytes(
                     {"record": "error", "error": str(exc), "event_index": 0}
                 )
-                return
-            if reply["errors"]:
-                self.n_errors += reply["errors"]
-                self.perf.inc("session.event_errors", reply["errors"])
-            if reply["closed"]:
-                self._closed = True
-                if reply["perf"] is not None:
-                    self._perf_snapshot = reply["perf"]
-            yield from reply["lines"]
+        if reply["errors"]:
+            self.perf.inc("session.event_errors", reply["errors"])
+        if reply["perf"] is not None:
+            self.perf.inc("session.closed")
+            self.perf.merge(reply["perf"])
+            if _obs_enabled():
+                _LOG.event("session.closed", session=self.id)
+        return reply["body"]
 
     def status_doc(self) -> dict:
         """JSON-ready status for ``GET /v1/session/<id>`` (one shard RPC)."""
         with self.lock:
-            doc = self.backend.session_status(self.id)
-            self._closed = doc["state"] == "closed"
-            return doc
+            return self.backend.session_status(self.id)
 
     def result_bytes(self) -> bytes | None:
         """Canonical mapping JSON of a closed session (None while open)
         — byte-identical to an offline replay of the same events."""
         with self.lock:
             return self.backend.session_result(self.id)
-
-    def is_closed(self) -> bool:
-        with self.lock:
-            return self._closed
-
-    def take_perf_snapshot(self) -> dict | None:
-        """The engine's close-time perf counters, exactly once (None
-        thereafter) — so closing twice never double-counts in the
-        service registry."""
-        with self.lock:
-            snapshot, self._perf_snapshot = self._perf_snapshot, None
-            return snapshot
 
 
 class SessionManager:
@@ -287,17 +270,6 @@ class SessionManager:
     def __len__(self) -> int:
         with self._lock:
             return len(self._sessions)
-
-    def note_closed(self, session: LiveSession) -> None:
-        """Account a just-closed session: merge its engine counters
-        (plans computed, pool reuse …) into the service registry, once."""
-        snapshot = session.take_perf_snapshot()
-        if snapshot is None:
-            return  # a later batch on an already-closed session
-        self.perf.inc("session.closed")
-        self.perf.merge(snapshot)
-        if _obs_enabled():
-            _LOG.event("session.closed", session=session.id)
 
     # -- lifecycle ---------------------------------------------------------
 

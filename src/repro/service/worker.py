@@ -288,6 +288,13 @@ class SessionHost:
     :class:`~repro.service.sessions.LiveSession` is a thin proxy over
     these methods.
 
+    A session is *retired* by the batch that closes it: the engine, its
+    kernel and the delta encoder are dropped there and then.  The table
+    keeps only what a closed session can still be asked for — the status
+    document frozen at close, the canonical result bytes and the error
+    count — and answers any later batch with the ``session is closed``
+    line the engine itself would give.
+
     One lock serialises the whole host: event application on a session,
     the scenario LRU, and table mutation.  In the inline (single-shard)
     path this host is shared by HTTP handler threads, so unlike the
@@ -297,6 +304,8 @@ class SessionHost:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        # Open: engine, encoder, scenario_id, heuristic, n_errors.
+        # Retired: status, result, n_errors.
         self._sessions: dict[str, dict] = {}  # guarded-by: _lock
         self._cache = _ScenarioCache()  # guarded-by: _lock
 
@@ -321,14 +330,14 @@ class SessionHost:
                 "scenario_id": scenario_id,
                 "heuristic": canonical,
                 "n_errors": 0,
-                "accounted": False,
             }
             return {"pending": sorted(engine.pending), "heuristic": canonical}
 
     def apply(self, session_id: str, event_docs: list[dict]) -> dict:
-        """Apply an event batch; returns the encoded delta lines plus
-        bookkeeping the parent needs (new error count, closed flag, and
-        — exactly once, at close — the engine's perf snapshot).
+        """Apply an event batch; returns the batch's NDJSON as one
+        ``body`` plus bookkeeping the parent needs: the new error count
+        and — from the batch that closes the session, so exactly once —
+        the engine's perf snapshot (else None).
 
         A rejected event (time travel, unknown id, double loss …) adds
         one ``{"record": "error", ...}`` line and ends the batch; the
@@ -337,6 +346,9 @@ class SessionHost:
         """
         with self._lock:
             record = self._sessions[session_id]
+            if "result" in record:
+                record["n_errors"] += 1
+                return {"body": _CLOSED_LINE, "errors": 1, "perf": None}
             engine = record["engine"]
             encoder = record["encoder"]
             lines: list[bytes] = []
@@ -365,12 +377,15 @@ class SessionHost:
                     lines.extend(encoder.footer_lines())
                     break
             perf = None
-            if engine.closed and not record["accounted"]:
-                record["accounted"] = True
+            if engine.closed:
                 perf = engine.schedule.perf.snapshot()
+                self._sessions[session_id] = {
+                    "status": _engine_status(session_id, record),
+                    "result": canonical_mapping_bytes(engine.schedule),
+                    "n_errors": record["n_errors"],
+                }
             return {
-                "lines": lines,
-                "closed": engine.closed,
+                "body": b"".join(lines),
                 "errors": new_errors,
                 "perf": perf,
             }
@@ -379,44 +394,55 @@ class SessionHost:
         """JSON-ready status doc for ``GET /v1/session/<id>``."""
         with self._lock:
             record = self._sessions[session_id]
-            engine = record["engine"]
-            doc = {
-                "session": session_id,
-                "state": "closed" if engine.closed else "open",
-                "scenario": record["scenario_id"],
-                "heuristic": record["heuristic"],
-                "cursor": engine.cursor,
-                "seq": record["encoder"].seq,
-                "n_mapped": engine.schedule.n_mapped,
-                "pending": sorted(engine.pending),
-                "errors": record["n_errors"],
-            }
-            if engine.closed:
-                outcome = engine.outcome
-                doc["n_events"] = outcome.n_events
-                doc["rolled_back"] = outcome.total_rolled_back
-                doc["success"] = outcome.final.success
-                doc["heuristic_seconds"] = outcome.final.heuristic_seconds
-            return doc
+            if "result" not in record:
+                return _engine_status(session_id, record)
+            return {**record["status"], "errors": record["n_errors"]}
 
     def result(self, session_id: str) -> bytes | None:
         """Canonical mapping JSON of a closed session (None while open)
         — byte-identical to an offline replay of the same events."""
         with self._lock:
-            engine = self._sessions[session_id]["engine"]
-            if not engine.closed:
-                return None
-            return canonical_mapping_bytes(engine.schedule)
+            return self._sessions[session_id].get("result")
 
     def discard(self, session_id: str) -> bool:
-        """Drop a session's kernel (idle eviction upstream); returns
-        whether it existed."""
+        """Drop a session (idle eviction upstream); returns whether it
+        existed."""
         with self._lock:
             return self._sessions.pop(session_id, None) is not None
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._sessions)
+
+
+#: A retired session's reply to any later batch: the line its engine
+#: gave for the first event after ``close``.
+_CLOSED_LINE = canonical_json_bytes(
+    {"record": "error", "error": "session is closed", "event_index": 0}
+)
+
+
+def _engine_status(session_id: str, record: dict) -> dict:
+    """Status document of a session whose engine is still held."""
+    engine = record["engine"]
+    doc = {
+        "session": session_id,
+        "state": "closed" if engine.closed else "open",
+        "scenario": record["scenario_id"],
+        "heuristic": record["heuristic"],
+        "cursor": engine.cursor,
+        "seq": record["encoder"].seq,
+        "n_mapped": engine.schedule.n_mapped,
+        "pending": sorted(engine.pending),
+        "errors": record["n_errors"],
+    }
+    if engine.closed:
+        outcome = engine.outcome
+        doc["n_events"] = outcome.n_events
+        doc["rolled_back"] = outcome.total_rolled_back
+        doc["success"] = outcome.final.success
+        doc["heuristic_seconds"] = outcome.final.heuristic_seconds
+    return doc
 
 
 def shard_main(

@@ -485,6 +485,45 @@ class TestReplyPath:
         status, _, _ = _get(base, "/healthz")  # the daemon keeps serving
         assert status == 200
 
+    def test_unrouted_post_body_does_not_poison_keep_alive(self, service):
+        """A POST answered without needing its body (here a 404) must not
+        leave the body on the connection to be parsed as the next
+        request."""
+        base, _ = service
+        host, port = base[len("http://"):].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            conn.request(
+                "POST", "/v1/nope", body=b'{"x":1}',
+                headers={"Content-Type": "application/json"},
+            )
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 404
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            body = resp.read()
+        finally:
+            conn.close()
+        assert resp.status == 200, body
+        assert json.loads(body)["status"] == "ok"
+
+    def test_bad_content_length_answers_400_and_closes(self, service):
+        base, _ = service
+        host, port = base[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(
+                b"POST /v1/map HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: nope\r\n\r\n{}"
+            )
+            reply = b""
+            # The server closes the connection: the body's end is unknown.
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert b"Connection: close" in reply
+        assert b"bad Content-Length" in reply
+
     def test_client_gone_before_flush_leaves_no_traceback(self, capsys):
         manager = JobManager(ScenarioRegistry(), n_jobs=1, max_queue=4)
         sid, _ = manager.registry.put(_scenario_doc())

@@ -5,11 +5,13 @@ and the session-mode load generator."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 
 import pytest
 
@@ -20,10 +22,11 @@ from repro.io.serialization import (
     scenario_to_dict,
 )
 from repro.service.app import make_server
-from repro.service.jobs import JobManager
+from repro.service.jobs import JobManager, ShardRouter
 from repro.service.registry import ScenarioRegistry
 from repro.service.sessions import SessionManager
 from repro.session import (
+    SessionEvent,
     mapping_from_delta_ndjson,
     run_with_events,
     synthesize_events,
@@ -327,6 +330,145 @@ class TestSessionErrors:
         assert counters["session.closed"] == 1.0  # accounted exactly once
 
 
+@pytest.fixture(params=[1, 2], ids=["shards1", "shards2"])
+def sharded_service(request):
+    """A live service at 1 (inline) and 2 (process) shards: host, port."""
+    manager = ShardRouter(ScenarioRegistry(), shards=request.param, max_queue=16)
+    server = make_server("127.0.0.1", 0, manager)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.server_address[:2]
+    manager.drain(timeout=60)
+    server.shutdown()
+    thread.join(timeout=10)
+    server.server_close()
+    manager.close(drain_timeout=0)
+
+
+def _exchange(conn, method, path, payload=b"", content_type="application/json"):
+    """One request on a persistent connection: status, response, body."""
+    conn.request(method, path, body=payload, headers={"Content-Type": content_type})
+    resp = conn.getresponse()
+    return resp.status, resp, resp.read()
+
+
+class TestKeepAliveSession:
+    def test_batches_share_one_connection(self, sharded_service):
+        """Every batch of a session is answered on one kept-alive
+        connection with an exact Content-Length, and the deltas and the
+        stored result still match an offline replay byte for byte."""
+        host, port = sharded_service
+        scenario = generate_named_scenario(N_TASKS, SEED)
+        held, events = synthesize_events(
+            scenario, seed=11, n_events=44, max_cycle=60
+        )
+        conn = http.client.HTTPConnection(host, port, timeout=60)
+        try:
+            status, _, body = _exchange(
+                conn, "POST", "/v1/scenarios",
+                json.dumps(scenario_to_dict(scenario)).encode(),
+            )
+            assert status == 201, body
+            sid = json.loads(body)["id"]
+            status, _, body = _exchange(
+                conn, "POST", "/v1/session",
+                json.dumps(
+                    {"scenario": sid, "heuristic": "slrh1", "pending": list(held)}
+                ).encode(),
+            )
+            assert status == 201, body
+            doc = json.loads(body)
+            sock = conn.sock
+            batches = [_ndjson(events[i : i + 2]) for i in range(0, len(events), 2)]
+            assert len(batches) >= 20
+            middle = len(batches) // 2
+            cursor = events[2 * middle - 1].cycle
+            assert cursor > 0
+            # Time travel mid-stream: rejected atomically, session intact.
+            illegal = _ndjson([SessionEvent(kind="advance", cycle=0)])
+            batches.insert(middle, illegal)
+            lines: list[bytes] = []
+            for batch in batches:
+                status, resp, body = _exchange(
+                    conn, "POST", doc["events_url"], batch,
+                    content_type="application/x-ndjson",
+                )
+                assert status == 200, body
+                assert resp.getheader("Connection") is None
+                assert int(resp.getheader("Content-Length")) == len(body)
+                assert resp.getheader("Content-Type") == "application/x-ndjson"
+                assert conn.sock is sock
+                if batch is illegal:
+                    (line,) = body.splitlines()
+                    error = json.loads(line)
+                    assert error["record"] == "error"
+                    assert error["event_index"] == 0
+                else:
+                    assert b'"record":"error"' not in body, body
+                    lines.extend(body.splitlines(keepends=True))
+            assert b'"record":"footer"' in lines[-1]
+            status, _, result = _exchange(conn, "GET", doc["result_url"])
+            assert status == 200
+            assert conn.sock is sock
+        finally:
+            conn.close()
+        oracle = run_with_events(scenario, _oracle_scheduler(), events, pending=held)
+        want = canonical_json_bytes(mapping_to_dict(oracle.final.schedule))
+        rebuilt = mapping_from_delta_ndjson(lines, scenario)
+        assert canonical_json_bytes(mapping_to_dict(rebuilt)) == want
+        assert result == want
+
+
+class TestClosedSessionRetired:
+    def test_batches_after_close_answer_the_closed_error(self, make_service):
+        base, manager, sessions = make_service()
+        sid = _register(base)
+        scenario = generate_named_scenario(N_TASKS, SEED)
+        held, events = synthesize_events(
+            scenario, seed=11, n_events=20, max_cycle=60
+        )
+        _, _, body = _post(
+            base, "/v1/session",
+            {"scenario": sid, "heuristic": "slrh1", "pending": list(held)},
+        )
+        doc = json.loads(body)
+        record = sessions._fallback._sessions._sessions[doc["session"]]
+        engine = weakref.ref(record["engine"])
+        del record
+        status, _, body = _post_ndjson(base, doc["events_url"], _ndjson(events))
+        assert status == 200 and b'"record":"footer"' in body
+        # The close batch dropped the engine (and with it the kernel).
+        assert engine() is None
+        _, _, closed_status = _get(base, doc["status_url"])
+        _, _, result = _get(base, doc["result_url"])
+        closed = json.loads(closed_status)
+        assert closed["state"] == "closed" and closed["errors"] == 0
+        _, _, metrics = _get(base, "/metrics")
+        counters_at_close = json.loads(metrics)["counters"]
+        want_line = canonical_json_bytes(
+            {"record": "error", "error": "session is closed", "event_index": 0}
+        )
+        for n in (1, 2):
+            status, _, body = _post_ndjson(
+                base, doc["events_url"], b'{"event":"advance","cycle":99}\n'
+            )
+            assert status == 200
+            assert body == want_line
+            _, _, now = _get(base, doc["status_url"])
+            assert json.loads(now) == {**closed, "errors": n}
+            _, _, again = _get(base, doc["result_url"])
+            assert again == result
+        _, _, metrics = _get(base, "/metrics")
+        counters = json.loads(metrics)["counters"]
+        assert counters["session.closed"] == 1.0
+        assert counters["session.event_errors"] == 2.0
+        # The engine's counters were merged once, at close.
+        assert counters["session.events"] == len(events)
+        for name, value in counters_at_close.items():
+            if name != "session.event_errors":
+                assert counters[name] == value, name
+
+
 class TestSessionAdmission:
     def test_session_limit_answers_429(self, make_service):
         base, _, _ = make_service(max_sessions=1)
@@ -352,6 +494,30 @@ class TestSessionAdmission:
             base, doc["events_url"], b'{"event":"advance","cycle":1}\n'
         )
         assert status == 503
+
+    def test_drain_503_keeps_the_connection_usable(self, make_service):
+        """The draining 503 is answered before the batch is parsed; the
+        batch must still be consumed so the next request on the same
+        connection parses cleanly."""
+        base, _, sessions = make_service()
+        sid = _register(base)
+        _, _, body = _post(base, "/v1/session", {"scenario": sid})
+        doc = json.loads(body)
+        sessions.drain()
+        host, port = base[len("http://"):].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            status, _, _ = _exchange(
+                conn, "POST", doc["events_url"],
+                b'{"event":"advance","cycle":1}\n',
+                content_type="application/x-ndjson",
+            )
+            assert status == 503
+            status, _, body = _exchange(conn, "GET", "/healthz")
+        finally:
+            conn.close()
+        assert status == 200, body
+        assert json.loads(body)["sessions"] == 1
 
     def test_idle_sessions_are_evicted(self, make_service):
         base, manager, sessions = make_service(idle_timeout=0.05)

@@ -396,10 +396,8 @@ class TestShardedSessions:
             # sess-00000001 -> shard 1 of 2: a real child process.
             assert session.backend is manager.shards[1].backend
             assert isinstance(session.backend, ProcessShard)
-            lines: list[bytes] = []
             for start in range(0, len(events), 5):
-                lines.extend(session.stream(events[start : start + 5]))
-            assert session.is_closed()
+                session.apply_batch(events[start : start + 5])
             oracle = run_with_events(
                 scenario,
                 make_scheduler("slrh1", Weights.from_alpha_beta(0.5, 0.2)),
@@ -432,12 +430,76 @@ class TestShardedSessions:
             assert isinstance(backend, ProcessShard)
             with pytest.raises(ShardCrashedError):
                 backend._proc.call("exit", 2)
-            lines = list(session.stream(events))
+            lines = session.apply_batch(events).splitlines()
             assert len(lines) == 1
             record = json.loads(lines[0])
             assert record["record"] == "error"
             assert manager.perf.get("session.event_errors") == 1
         finally:
+            manager.close(drain_timeout=0)
+
+
+    def test_sigkill_mid_session_over_http(self):
+        """SIGKILL the process hosting a live session: the next batch on
+        the same kept-alive connection answers one error record instead
+        of hanging, and ``/healthz`` then answers 503."""
+        import http.client
+        import os
+        import signal
+
+        from repro.service.app import make_server
+        from repro.session import synthesize_events
+
+        reg = ScenarioRegistry()
+        scenario = generate_named_scenario(16, 3)
+        sid, _ = reg.put(scenario_to_dict(scenario))
+        manager = ShardRouter(reg, shards=2, max_queue=8)
+        server = make_server("127.0.0.1", 0, manager)
+        host, port = server.server_address[:2]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        # The connection's timeout bounds every reply: a hang fails here.
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+
+        def exchange(method, path, payload=b""):
+            conn.request(method, path, body=payload)
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+
+        try:
+            held, events = synthesize_events(
+                scenario, seed=5, n_events=12, max_cycle=40
+            )
+            status, body = exchange(
+                "POST", "/v1/session",
+                json.dumps(
+                    {"scenario": sid, "heuristic": "slrh1", "pending": list(held)}
+                ).encode(),
+            )
+            assert status == 201, body
+            doc = json.loads(body)
+            sock = conn.sock
+            backend = server.sessions.get(doc["session"]).backend
+            assert isinstance(backend, ProcessShard)
+            batch = b"".join(canonical_json_bytes(e.to_dict()) for e in events[:6])
+            status, body = exchange("POST", doc["events_url"], batch)
+            assert status == 200 and b'"record":"error"' not in body, body
+            assert conn.sock is sock
+            os.kill(backend.pid, signal.SIGKILL)
+            batch = b"".join(canonical_json_bytes(e.to_dict()) for e in events[6:])
+            status, body = exchange("POST", doc["events_url"], batch)
+            assert status == 200
+            (line,) = body.splitlines()
+            assert json.loads(line)["record"] == "error"
+            assert conn.sock is sock
+            status, body = exchange("GET", "/healthz")
+            assert status == 503, body
+            assert json.loads(body)["status"] == "degraded"
+        finally:
+            conn.close()
+            server.shutdown()
+            thread.join(timeout=10)
+            server.server_close()
             manager.close(drain_timeout=0)
 
 
