@@ -1,10 +1,10 @@
-"""Flat-array candidate pools: the kernel's columnar hot path.
+"""Flat-array candidate pools: the kernel's maintained hot path.
 
-:class:`ColumnarPool` maintains exactly the state of
-:class:`repro.core.kernel.CandidatePool` — one delta-maintained pool slot
-per (machine, task) with the same cleanliness certificates — but stores it
-in parallel ``array`` columns indexed by integer ids instead of per-entry
-Python objects.  The per-tick scan then runs on index arithmetic:
+:class:`ColumnarPool` keeps one delta-maintained pool slot per (machine,
+task) — the event discipline is described in :mod:`repro.core.kernel` —
+and stores every slot in parallel ``array`` columns indexed by integer
+ids rather than per-entry Python objects.  The per-tick scan then runs on
+index arithmetic:
 
 * slot lookup is ``machine * n_tasks + task`` into flat columns (kind,
   generation, parent-epoch, planning clock, data-ready, comm floor,
@@ -16,11 +16,11 @@ Python objects.  The per-tick scan then runs on index arithmetic:
   energy margin — the plan's TEC delta — and finish time) and inlines the
   objective arithmetic of :meth:`ObjectiveFunction.after_plan` verbatim:
   the same float operations in the same order, so scores are
-  bit-identical to the object path's;
+  bit-identical to :func:`repro.core.pool.select_candidate`'s;
 * candidate ordering is one stable descending sort over the score column.
   Members are gathered in ascending task order and CPython's sort is
   stable under ``reverse=True`` (equal keys keep their original order),
-  so the result is exactly the object pools' ``(-score, task)`` order.
+  so the result is exactly the rebuild oracle's ``(-score, task)`` order.
 
 The *dirty* path — entries whose certificates fail — is a **fused
 replan**: the same decisions as ``Schedule._plan_pair`` +
@@ -40,12 +40,13 @@ flat arithmetic:
   exists as column facts and is rebuilt on demand if a later aggregate
   shift flips the selection.
 
-Columnar mode therefore re-plans exactly the same entries as incremental
-mode; the ``pool.reuse_hits`` / ``pool.invalidations`` / ``pool.members``
-counters are identical across the two (pinned by the differential fuzz in
-``tests/test_kernel.py``), and the speedup is pure constant factor — on
-the clean path, inside every replan, and in the kernel's stall-tick
-fast-forward — never fewer or different replans.
+Every build re-plans exactly the released ready tasks whose certificates
+failed: ``pool.reuse_hits + pool.invalidations`` grows by the number of
+released ready tasks and ``pool.members`` by the pool's length (pinned,
+with members, plans, scores, order and the wake-up hint, against
+:func:`repro.core.pool.build_candidate_pool` by the Hypothesis fuzz in
+``tests/test_kernel.py``; the exact counters at 240 tasks are gated by
+``benchmarks/check_regression.py``).
 """
 
 from __future__ import annotations
@@ -84,13 +85,14 @@ _AET_MODES = {
 
 
 class ColumnarPool:
-    """Columnar drop-in for :class:`repro.core.kernel.CandidatePool`.
+    """Maintained candidate pools, one flat-array block per machine.
 
-    Same contract: :meth:`pool_for` materialises the ordered pool U plus
-    the earliest unreleased-task release time, the owner reports commits
+    :meth:`pool_for` materialises the same ordered pool U that
+    :func:`repro.core.pool.build_candidate_pool` would build from scratch,
+    plus the earliest unreleased-task release time (the kernel's wake-up
+    hint), re-planning only dirtied slots.  The owner reports every commit
     via :meth:`note_commit` and calls :meth:`invalidate_all` after any
-    other mutation.  Mappings and pool counters are byte-identical to the
-    object pools in every mode.
+    other mutation (rollbacks, offline flips, external debits).
     """
 
     def __init__(
@@ -141,7 +143,9 @@ class ColumnarPool:
         self._dep_ids = array("i", [0]) * (n_machines * total)
         self._dep_stamps = array("q", [0]) * (n_machines * total)
         self._dep_n = array("i", [0]) * size
-        # Per-machine event counters (see CandidatePool._touch).
+        # Per-machine event counters: bumped for every machine a commit
+        # touches (calendars, energy, reserves).  Slot stamps against
+        # these prove "nothing my plans read has moved".
         self._touch = array("q", [0]) * n_machines
         # Release-time column: the schedule's *live* per-task release list
         # (streamed arrivals move entries in place), aliased rather than
@@ -352,10 +356,11 @@ class ColumnarPool:
                             clean = False
                             break
                     if clean and k == _CANDIDATE and not_before != nb_col[idx]:
-                        # Clock rule — identical to CandidatePool: stored
-                        # plans survive a clock advance only when the
-                        # data-ready floor dominates both clocks and every
-                        # planned transfer starts at/after the new clock.
+                        # Clock rule: stored plans survive a clock advance
+                        # only when the data-ready floor dominates both
+                        # clocks and every planned transfer starts at/after
+                        # the new clock (gap searches are monotone in their
+                        # lower bound, so a still-legal train stays earliest).
                         enb = nb_col[idx]
                         dr = ready_col[idx]
                         if not (

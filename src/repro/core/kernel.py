@@ -10,35 +10,38 @@ round loop (:meth:`run_static`) for the static baselines.  The SLRH
 variants collapse into :class:`TickPolicy` values answering "how many
 commits per machine per tick, and do we re-score between commits".
 
-Incremental candidate pools
----------------------------
+Maintained candidate pools
+--------------------------
 The paper's loop (§IV) rebuilds the candidate pool U from scratch for
 every (tick, machine).  Profiling shows most ticks are stalls: nothing
 became eligible, nothing changed, yet every ready task is re-planned and
-re-scored.  :class:`CandidatePool` instead maintains one pool entry per
-(machine, task) and re-plans only entries dirtied by an **event**:
+re-scored.  The production pool (:class:`repro.core.columnar.ColumnarPool`)
+instead maintains one pool slot per (machine, task) and re-plans only
+slots dirtied by an **event**:
 
 * a commit — touches the target machine's execution/in-channel calendars
   and energy, every sending machine's out-channel and energy, and the
   parents' machines' reserves (tracked by per-machine touch counters);
 * a parent assignment changing (the schedule's per-task parent epoch);
-* the tick moving ``not_before`` — an entry survives the clock advance
+* the tick moving ``not_before`` — a slot survives the clock advance
   only when its certificates prove a fresh plan would be byte-identical
   (its data-ready floor dominates both clocks and every planned transfer
   starts at/after the new clock);
 * churn (offline/online flips, rollbacks, external debits) — handled
-  wholesale by :meth:`CandidatePool.invalidate_all`, which :meth:`run`
+  wholesale by ``invalidate_all``, which :meth:`SchedulingKernel.run`
   performs on entry so a kernel persisted across churn segments re-bases
   against whatever happened in between.
 
-Clean entries are *reused*: their plans verbatim, their scores too when
+Clean slots are *reused*: their plans verbatim, their scores too when
 the global aggregates (T100, TEC, AET) are unchanged, or re-scored with
 the exact arithmetic of a fresh evaluation when a commit moved them
 (float ordering is preserved by recomputing, never by adjusting).  The
-``pool.reuse_hits`` / ``pool.invalidations`` perf counters expose the
-delta rate.
+pool state lives in flat parallel arrays, so certificate checks and
+re-scoring are index arithmetic and candidate ordering is one stable
+sort over the score column.  The ``pool.reuse_hits`` /
+``pool.invalidations`` perf counters expose the delta rate.
 
-On top of per-entry reuse the kernel sleeps whole machines: when a serve
+On top of per-slot reuse the kernel sleeps whole machines: when a serve
 commits nothing, every pool member was outside the receding horizon, and
 absent events (which wake all machines) the pool can only change when the
 horizon reaches the earliest data-ready time or an unreleased task
@@ -47,31 +50,21 @@ stall ticks in between cost an availability check instead of a pool
 build.  Data-ready times are nondecreasing in the planning clock (gap
 searches are monotone in their lower bound), so a sleep can only ever be
 *conservative* — waking early is harmless, and the serve that follows
-re-derives eligibility from scratch.
+re-derives eligibility from scratch.  :meth:`SchedulingKernel.run` also
+fast-forwards runs of stall ticks (every machine unavailable or asleep)
+in one tight loop.
 
-Columnar pools
---------------
-The default ``columnar`` mode (``REPRO_KERNEL=columnar``) keeps exactly
-the :class:`CandidatePool` maintenance discipline but stores the pool
-state in flat parallel arrays (:class:`repro.core.columnar.ColumnarPool`)
-— certificate checks and re-scoring become index arithmetic, candidate
-ordering a single stable argsort over the score column — and lets
-:meth:`SchedulingKernel.run` fast-forward runs of stall ticks (every
-machine unavailable or asleep) in one tight loop.  Both replicate the
-object path's float arithmetic operation-for-operation, so mappings,
-trace counters and pool counters are byte-identical across all modes.
-
-Differential oracles
---------------------
-``REPRO_KERNEL=incremental`` keeps the delta-maintained object pools and
-``REPRO_KERNEL=rebuild`` (or ``SlrhConfig(kernel=...)``) the original
-from-scratch pool construction as reference implementations; mappings
-are byte-identical across the three modes for every heuristic (pinned by
-``tests/test_kernel.py`` and the ``kernel-differential`` CI job).  The
-decision ledger records per-tick rejection history that only exists when
-pools are actually rebuilt, so ledgered runs always use the rebuild path
-— observability never changes the mapping, and the hot path never pays
-for it.
+The differential oracle
+-----------------------
+``REPRO_KERNEL=rebuild`` (or ``SlrhConfig(kernel="rebuild")``) runs the
+paper-literal from-scratch pool construction
+(:func:`repro.core.pool.build_candidate_pool`) as the reference
+implementation; mappings are byte-identical across the two modes for
+every heuristic (pinned by ``tests/test_kernel.py``, the golden digests
+and the ``kernel-differential`` CI job).  The decision ledger records
+per-tick rejection history that only exists when pools are actually
+rebuilt, so ledgered runs always use the rebuild path — observability
+never changes the mapping, and the hot path never pays for it.
 """
 
 from __future__ import annotations
@@ -85,16 +78,14 @@ from repro.core.columnar import ColumnarPool
 from repro.core.constants import EPSILON
 from repro.core.feasibility import FeasibilityChecker
 from repro.core.objective import ObjectiveFunction
-from repro.core.pool import Candidate, build_candidate_pool, select_candidate
+from repro.core.pool import Candidate, build_candidate_pool
 from repro.obs.ledger import ENERGY_INFEASIBLE, LOST_ON_SCORE, OUTSIDE_HORIZON
 from repro.obs.spans import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
 from repro.sim.clock import SimulationClock
 from repro.sim.schedule import ExecutionPlan, Schedule
 from repro.sim.trace import MappingTrace
-from repro.workload.versions import SECONDARY
 
 __all__ = [
-    "CandidatePool",
     "ColumnarPool",
     "KERNEL_MODES",
     "SchedulingKernel",
@@ -102,10 +93,9 @@ __all__ = [
     "resolve_kernel_mode",
 ]
 
-#: The three kernel modes: ``columnar`` (flat-array pools, the default),
-#: ``incremental`` (delta-maintained object pools) and ``rebuild``
-#: (from-scratch pools — the differential oracle).
-KERNEL_MODES = ("columnar", "incremental", "rebuild")
+#: The two kernel modes: ``columnar`` (maintained flat-array pools, the
+#: default) and ``rebuild`` (from-scratch pools — the differential oracle).
+KERNEL_MODES = ("columnar", "rebuild")
 
 
 def resolve_kernel_mode(override: str | None = None, *, ledger: bool = False) -> str:
@@ -117,13 +107,9 @@ def resolve_kernel_mode(override: str | None = None, *, ledger: bool = False) ->
     if ledger:
         return "rebuild"
     mode = override if override is not None else os.environ.get("REPRO_KERNEL", "")
-    mode = str(mode).strip().lower()
-    if mode in ("", "columnar", "col", "flat"):
-        return "columnar"
-    if mode in ("incremental", "inc", "delta", "1", "on"):
-        return "incremental"
-    if mode in ("rebuild", "full", "oracle", "0", "off"):
-        return "rebuild"
+    mode = str(mode).strip().lower() or "columnar"
+    if mode in KERNEL_MODES:
+        return mode
     raise ValueError(
         f"unknown kernel mode {mode!r}; expected one of {', '.join(KERNEL_MODES)}"
     )
@@ -150,237 +136,12 @@ class TickPolicy:
             raise ValueError("max_commits must be >= 1 (or None)")
 
 
-# Pool-entry states: a scored candidate, a task whose tentative plans are
-# all energy-infeasible, and a rule-(b) reject (never planned at all).
-_CANDIDATE, _NO_VERSION, _RULE_B = 0, 1, 2
-
-
-class _PoolEntry:
-    """One delta-maintained pool slot for a (machine, task) pair.
-
-    Cleanliness certificates: the task's parent epoch, the touch-counter
-    stamps of every machine the entry's plans read (target + parents'
-    machines — exactly the set a commit can move), and — for entries that
-    hold plans — the clock rule under which a later ``not_before`` provably
-    yields byte-identical plans.  ``_RULE_B`` and ``_NO_VERSION`` verdicts
-    are clock-independent (they hinge on energy state only), so they skip
-    the clock rule.
-    """
-
-    __slots__ = (
-        "kind", "parent_epoch", "dep_machines", "dep_stamps",
-        "nb", "data_ready", "min_comm_start", "pair", "cand", "token",
-    )
-
-
-class CandidatePool:
-    """Incrementally maintained candidate pools, one per machine.
-
-    :meth:`pool_for` materialises the same ordered pool that
-    :func:`repro.core.pool.build_candidate_pool` would build from scratch
-    — pinned by the Hypothesis equivalence test in ``tests/test_kernel.py``
-    — re-planning only dirtied entries.  The owner must report every
-    commit via :meth:`note_commit` and call :meth:`invalidate_all` after
-    any other mutation (rollbacks, offline flips, external debits).
-    """
-
-    def __init__(
-        self,
-        schedule: Schedule,
-        checker: FeasibilityChecker,
-        objective: ObjectiveFunction,
-    ) -> None:
-        self.schedule = schedule
-        self.checker = checker
-        self.objective = objective
-        n_machines = schedule.scenario.n_machines
-        self._entries: list[dict[int, _PoolEntry]] = [{} for _ in range(n_machines)]
-        # Per-machine event counters: bumped for every machine a commit
-        # touches (calendars, energy, reserves).  Entry stamps against
-        # these prove "nothing my plans read has moved".
-        self._touch = [0] * n_machines
-        # Aggregate state (T100, TEC, AET) the current scores were computed
-        # at; scores are recomputed — with fresh-path arithmetic — whenever
-        # it moves, since every commit shifts every candidate's score.
-        self._agg: tuple[int, float, float] | None = None
-        self._token = 0
-
-    def invalidate_all(self) -> None:
-        """Drop every entry — the big hammer for events without a precise
-        delta (churn offline/online, rollbacks, external debits)."""
-        for per_machine in self._entries:
-            per_machine.clear()
-        self._agg = None
-
-    def note_release(self, task: int) -> None:
-        """A streamed arrival moved *task*'s release time: retire its
-        entries.  (A held task is release-gated out of every pool, so none
-        should exist — clearing is defensive symmetry with
-        :meth:`note_commit`.)  Entries for other tasks never read a
-        neighbour's release, so they survive untouched — this is the
-        precise delta that lets a session keep its pool across arrivals."""
-        for per_machine in self._entries:
-            per_machine.pop(task, None)
-
-    def note_machine_return(self, machine: int) -> None:
-        """A lost machine rejoined the grid: give it a fresh touch epoch.
-
-        Bumping the counter dirties every surviving entry whose plans read
-        *machine* (their stamps no longer match), and clearing the
-        machine's own entry table forces its pools to be re-derived from
-        the post-rejoin grid instead of any pre-loss leftovers.  Without
-        the bump a rejoin is invisible to the certificate scheme — touch
-        counters only ever move on commits — so stale entries could
-        survive the offline window (pinned against the rebuild oracle by
-        ``tests/test_session.py``)."""
-        self._touch[machine] += 1
-        self._entries[machine].clear()
-        self._agg = None
-
-    def note_commit(self, plan: ExecutionPlan) -> None:
-        """Record a commit's footprint: bump the touch counter of every
-        machine it mutated and retire the committed task's entries."""
-        schedule = self.schedule
-        touched = {plan.machine}
-        for p in schedule.scenario.dag.parents[plan.task]:
-            touched.add(schedule.assignments[p].machine)
-        touch = self._touch
-        for j in touched:
-            touch[j] += 1
-        for per_machine in self._entries:
-            per_machine.pop(plan.task, None)
-
-    def _deps(self, task: int, machine: int) -> tuple[int, ...]:
-        schedule = self.schedule
-        return tuple(
-            sorted(
-                {machine}
-                | {
-                    schedule.assignments[p].machine
-                    for p in schedule.scenario.dag.parents[task]
-                }
-            )
-        )
-
-    def pool_for(
-        self, machine: int, not_before: float, tracer: Tracer | NullTracer = NULL_TRACER
-    ) -> tuple[list[Candidate], float | None]:
-        """The ordered pool U for *machine* at *not_before*, plus the
-        earliest release time among ready-but-unreleased tasks (``None``
-        when there is none) — the kernel's wake-up hint."""
-        schedule = self.schedule
-        perf = schedule.perf
-        agg = schedule.aggregate_state()
-        if agg != self._agg:
-            self._agg = agg
-            self._token += 1
-        token = self._token
-        entries = self._entries[machine]
-        touch = self._touch
-        epochs = schedule.parent_epochs()
-        objective = self.objective
-        checker = self.checker
-        pool: list[Candidate] = []
-        min_release: float | None = None
-        reused = invalidated = 0
-        span = (
-            tracer.span("pool.delta", machine=machine, clock=not_before)
-            if tracer.enabled
-            else NULL_SPAN
-        )
-        release_times = schedule.release_times_view()
-        with span, perf.timer("phase.pool_seconds"):
-            for task in schedule.ready_tasks():
-                release = release_times[task]
-                if release > not_before + EPSILON:
-                    if min_release is None or release < min_release:
-                        min_release = release
-                    continue
-                entry = entries.get(task)
-                if entry is not None and entry.parent_epoch == epochs[task]:
-                    clean = True
-                    stamps = entry.dep_stamps
-                    for k, j in enumerate(entry.dep_machines):
-                        if touch[j] != stamps[k]:
-                            clean = False
-                            break
-                    if clean and entry.kind == _CANDIDATE and not_before != entry.nb:
-                        # The clock moved.  The stored plans survive only if
-                        # a fresh computation provably matches: the data-ready
-                        # floor dominates both clocks (so data_ready — and the
-                        # execution slot behind it — is unchanged) and every
-                        # planned transfer starts at/after the new clock (gap
-                        # searches are monotone in their lower bound, so a
-                        # still-legal earliest train stays earliest).
-                        if not (
-                            not_before > entry.nb
-                            and entry.data_ready > entry.nb
-                            and entry.data_ready >= not_before
-                            and entry.min_comm_start >= not_before
-                        ):
-                            clean = False
-                else:
-                    clean = False
-                if clean:
-                    reused += 1
-                    if entry.kind == _CANDIDATE:
-                        if entry.token != token:
-                            # Aggregates moved: re-score both versions with
-                            # the fresh path's exact arithmetic and re-run
-                            # the selection — a changed makespan can flip
-                            # the version choice, and float ordering must
-                            # be recomputed, never patched.
-                            entry.cand = select_candidate(
-                                schedule, objective, task, entry.pair
-                            )
-                            entry.token = token
-                        pool.append(entry.cand)
-                    continue
-                invalidated += 1
-                if not checker.is_feasible(schedule, task, machine, SECONDARY):
-                    entry = _PoolEntry()
-                    entry.kind = _RULE_B
-                    entry.parent_epoch = epochs[task]
-                    entry.dep_machines = self._deps(task, machine)
-                    entry.dep_stamps = tuple(touch[j] for j in entry.dep_machines)
-                    entry.pair = None
-                    entry.cand = None
-                    entries[task] = entry
-                    continue
-                pair = schedule.plan_versions(task, machine, not_before=not_before)
-                cand = select_candidate(schedule, objective, task, pair)
-                entry = _PoolEntry()
-                entry.kind = _CANDIDATE if cand is not None else _NO_VERSION
-                entry.parent_epoch = epochs[task]
-                entry.dep_machines = self._deps(task, machine)
-                entry.dep_stamps = tuple(touch[j] for j in entry.dep_machines)
-                entry.nb = not_before
-                entry.data_ready = pair[0].data_ready
-                entry.min_comm_start = min(
-                    (c.start for c in pair[0].comms), default=math.inf
-                )
-                entry.pair = pair
-                entry.cand = cand
-                entry.token = token
-                entries[task] = entry
-                if cand is not None:
-                    pool.append(cand)
-            pool.sort(key=lambda c: (-c.score, c.task))
-        perf.inc("pool.builds")
-        perf.inc("pool.members", len(pool))
-        if reused:
-            perf.inc("pool.reuse_hits", reused)
-        if invalidated:
-            perf.inc("pool.invalidations", invalidated)
-        return pool, min_release
-
-
 class SchedulingKernel:
     """The shared scheduling core (see module docstring).
 
     One kernel serves one :class:`~repro.sim.schedule.Schedule`; the churn
     engine keeps a kernel alive across segments and every :meth:`run`
-    re-bases the incremental pool against whatever happened in between.
+    re-bases the maintained pool against whatever happened in between.
     """
 
     def __init__(
@@ -389,7 +150,7 @@ class SchedulingKernel:
         checker: FeasibilityChecker | None,
         objective: ObjectiveFunction | None,
         *,
-        mode: str = "incremental",
+        mode: str = "columnar",
         machine_order: str = "index",
         decision_latency_seconds: float = 0.0,
     ) -> None:
@@ -407,9 +168,8 @@ class SchedulingKernel:
         # The index-order scan list is immutable and shared across ticks
         # (round-robin rotates it, battery re-sorts it per tick).
         self._order = list(range(n_machines))
-        if checker is not None and mode != "rebuild":
-            pool_cls = ColumnarPool if mode == "columnar" else CandidatePool
-            self.pool = pool_cls(schedule, checker, objective)
+        if checker is not None and mode == "columnar":
+            self.pool = ColumnarPool(schedule, checker, objective)
         else:
             self.pool = None
         # Per-machine sleep state, stored as the *raw* event times the last
@@ -508,17 +268,12 @@ class SchedulingKernel:
             self._wake_all()
         tracing = tracer.enabled
         # Stall ticks (every machine unavailable or asleep) mutate nothing
-        # but the clock and three trace counters, so the columnar mode
-        # consumes them in a tight arithmetic loop instead of the full
+        # but the clock and three trace counters, so the maintained-pool
+        # path consumes them in a tight arithmetic loop instead of the full
         # scan machinery.  Guarded to the untraced, unledgered hot path;
         # the loop evaluates the exact same availability/sleep predicates
         # per tick, so counters and mappings are byte-identical.
-        fast = (
-            self.mode == "columnar"
-            and self.pool is not None
-            and not tracing
-            and trace.ledger is None
-        )
+        fast = self.pool is not None and not tracing and trace.ledger is None
         tick_index = 0
         while tick_index < max_ticks:
             if stop_cycle is not None and clock.cycle >= stop_cycle:
@@ -730,12 +485,12 @@ class SchedulingKernel:
         schedule = self.schedule
         objective = self.objective
         ledger = trace.ledger
-        # The columnar pool carries a fused single-version replan that is
+        # The maintained pool carries a fused single-version replan that is
         # byte-identical for every committable plan but skips the reason
         # strings of dead ones — usable exactly when no ledger listens.
         fused_replan = (
-            getattr(self.pool, "replan", None)
-            if replan and ledger is None
+            self.pool.replan
+            if replan and ledger is None and self.pool is not None
             else None
         )
         for index, candidate in enumerate(pool):

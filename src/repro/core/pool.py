@@ -65,9 +65,11 @@ def select_candidate(
     :class:`Candidate` (``None`` if no plan is feasible).
 
     This is the version-selection rule shared by every pool construction
-    path — the from-scratch build below and the incremental re-scoring in
-    :mod:`repro.core.kernel` — so a candidate's score and version choice
-    are computed by exactly one piece of float arithmetic everywhere.
+    path — the from-scratch build below (the ``rebuild`` oracle) and the
+    pinned reference for :class:`repro.core.columnar.ColumnarPool`, whose
+    inline scorer repeats these float operations in the same order — so a
+    candidate's score and version choice are one piece of arithmetic
+    everywhere.
     """
     best: Candidate | None = None
     for plan in plans:

@@ -83,9 +83,9 @@ class SlrhConfig:
     #: records are per-tick history that only exists when pools are
     #: actually rebuilt.
     ledger: bool = False
-    #: Candidate-pool maintenance mode: ``"columnar"`` (flat-array pools —
-    #: the default), ``"incremental"`` (delta-maintained object pools), or
-    #: ``"rebuild"`` (from-scratch every serve — the differential oracle);
+    #: Candidate-pool maintenance mode: ``"columnar"`` (maintained
+    #: flat-array pools — the default) or ``"rebuild"`` (from-scratch
+    #: every serve — the differential oracle);
     #: ``None`` reads ``$REPRO_KERNEL``.  The mapping is byte-identical in
     #: every mode; see :mod:`repro.core.kernel`.
     kernel: str | None = None
@@ -187,7 +187,7 @@ class SlrhScheduler:
         """A :class:`~repro.core.kernel.SchedulingKernel` for *schedule*
         under this scheduler's configuration.  :meth:`map` builds one per
         run; the churn engine builds one per *schedule* and threads it
-        through every segment so the incremental pool survives in between.
+        through every segment so the maintained pool survives in between.
         """
         cfg = self.config
         scenario = schedule.scenario

@@ -8,7 +8,7 @@ Usage::
 
     python -m repro.experiments map (--scenario FILE | --generate N [--seed S])
                                     [--heuristic NAME] [--alpha A --beta B]
-                                    [--kernel columnar|incremental|rebuild]
+                                    [--kernel columnar|rebuild]
                                     [--out PATH|-] [--ndjson]
                                     [--trace-out TRACE.json] [--ledger-out LOG.ndjson]
 
@@ -72,6 +72,7 @@ _SECTIONS = ("tables", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
 def map_main(argv: list[str] | None = None) -> int:
     """The ``map`` subcommand: run one registry heuristic on one scenario."""
+    from repro.core.kernel import KERNEL_MODES
     from repro.heuristics import HEURISTIC_NAMES, run_heuristic
     from repro.io.serialization import (
         canonical_mapping_bytes,
@@ -102,11 +103,11 @@ def map_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--alpha", type=float, default=None, help="objective α")
     parser.add_argument("--beta", type=float, default=None, help="objective β")
     parser.add_argument(
-        "--kernel", default=None, choices=("columnar", "incremental", "rebuild"),
+        "--kernel", default=None, choices=KERNEL_MODES,
         help="candidate-pool maintenance mode for the SLRH family's "
         "scheduling kernel (default: $REPRO_KERNEL or 'columnar'; mappings "
-        "are byte-identical in every mode — 'rebuild' is the differential oracle, 'incremental' "
-        "the object-graph delta pool, 'columnar' the flat-array hot path)",
+        "are byte-identical in both modes — 'rebuild' is the differential "
+        "oracle, 'columnar' the flat-array hot path)",
     )
     parser.add_argument(
         "--out", default="-",

@@ -9,19 +9,21 @@ from the stdlib on top of the existing engine:
 * :mod:`repro.service.registry` — content-addressed scenario store
   (``sha256:`` of the canonical scenario bytes) with an LRU of
   deserialised :class:`~repro.workload.scenario.Scenario` objects;
-* :mod:`repro.service.jobs` — admission control (bounded queue → HTTP
-  429), request batching over a persistent
-  :class:`~repro.util.parallel.WorkerPool`, graceful drain, and the live
-  :mod:`repro.perf` registry (counters + gauges + latency histograms);
-* :mod:`repro.service.worker` — the picklable mapping executor shared by
-  in-process and process-pool execution;
+* :mod:`repro.service.jobs` — the :class:`~repro.service.jobs.ShardRouter`:
+  admission control (bounded per-shard queue → HTTP 429), scenario-affine
+  routing onto N shards, graceful drain, and the live :mod:`repro.perf`
+  registry (counters + gauges + latency histograms);
+* :mod:`repro.service.shard` — the shard backends: one inline shard, or
+  long-lived child processes behind a command pipe;
+* :mod:`repro.service.worker` — the mapping executor shared by inline
+  and process shards;
 * :mod:`repro.service.app` — the HTTP surface (``/v1/scenarios``,
   ``/v1/map``, ``/v1/jobs/<id>`` + NDJSON event streaming, ``/healthz``,
   ``/metrics``);
 * :mod:`repro.service.loadgen` — a concurrent load generator that writes
   the ``BENCH_service.json`` artefact.
 
-Start it with ``python -m repro.service [--port] [--jobs] [--max-queue]``.
+Start it with ``python -m repro.service [--port] [--shards] [--max-queue]``.
 
 Determinism contract: for a fixed scenario + seed, the mapping JSON served
 by ``POST /v1/map`` is byte-identical to ``python -m repro.experiments
@@ -33,15 +35,15 @@ surfaces dispatch through the same registry and encode through
 from repro.service.jobs import (
     DrainingError,
     Job,
-    JobManager,
     QueueFullError,
+    ShardRouter,
 )
 from repro.service.registry import ScenarioRegistry
 
 __all__ = [
     "DrainingError",
     "Job",
-    "JobManager",
     "QueueFullError",
     "ScenarioRegistry",
+    "ShardRouter",
 ]

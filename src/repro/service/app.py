@@ -11,9 +11,10 @@ Routes (all bodies JSON; streaming endpoints NDJSON):
     Run a registry heuristic on a registered scenario.  Default is
     synchronous: the response body is the canonical mapping JSON,
     byte-identical to ``python -m repro.experiments map``.  With
-    ``"wait": false`` returns 202 and a job id to poll.  Backpressure:
-    429 + ``Retry-After`` when the bounded queue is full, 503 while
-    draining.
+    ``"wait": false`` returns 202 and a job id to poll.  Map jobs run
+    the daemon's kernel mode; a ``kernel`` field answers 400 (it is a
+    session option).  Backpressure: 429 + ``Retry-After`` when the
+    bounded queue is full, 503 while draining.
 ``GET /v1/jobs/<id>``
     Job status document.
 ``GET /v1/jobs/<id>/result``
@@ -87,7 +88,7 @@ from repro.io.serialization import canonical_json_bytes
 from repro.obs.log import enabled as _obs_enabled
 from repro.obs.log import get_logger
 from repro.obs.prom import render_prometheus
-from repro.service.jobs import DrainingError, Job, JobManager, QueueFullError
+from repro.service.jobs import DrainingError, Job, QueueFullError, ShardRouter
 from repro.service.sessions import SessionLimitError, SessionManager
 from repro.session import event_from_dict
 
@@ -116,7 +117,7 @@ class ServiceServer(ThreadingHTTPServer):
     def __init__(
         self,
         address: tuple[str, int],
-        manager: JobManager,
+        manager: ShardRouter,
         quiet: bool = True,
         sessions: SessionManager | None = None,
     ) -> None:
@@ -137,7 +138,7 @@ class ServiceServer(ThreadingHTTPServer):
 def make_server(
     host: str,
     port: int,
-    manager: JobManager,
+    manager: ShardRouter,
     quiet: bool = True,
     sessions: SessionManager | None = None,
 ) -> ServiceServer:
@@ -183,7 +184,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             super().log_message(fmt, *args)
 
     @property
-    def manager(self) -> JobManager:
+    def manager(self) -> ShardRouter:
         return self.server.manager
 
     def send_response(self, code: int, message: str | None = None) -> None:
@@ -337,6 +338,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
         heuristic = body.get("heuristic", "slrh1")
         if not scenario_id:
             self._error(400, "missing 'scenario' (a registered scenario id)")
+            return
+        if "kernel" in body:
+            # A field the job would silently ignore is a misuse.
+            self._error(400, "'kernel' is a /v1/session option, not a /v1/map one")
             return
         try:
             alpha = body.get("alpha")

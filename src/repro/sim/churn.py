@@ -126,7 +126,7 @@ def run_with_churn(
     ordered = sorted(events, key=lambda e: e.cycle)
 
     # One kernel lives across every segment: each `map` re-bases the
-    # incremental candidate pool against whatever the events in between
+    # maintained candidate pool against whatever the events in between
     # did to the schedule (rollbacks, offline flips, sunk-energy debits).
     kernel = scheduler.make_kernel(schedule)
     records: list[ChurnRecord] = []

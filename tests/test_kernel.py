@@ -1,18 +1,15 @@
 """The scheduling kernel: mode resolution, pool-delta equivalence, and the
-byte-identity differential between the columnar, incremental and rebuild
-modes.
+byte-identity differential between the columnar and rebuild modes.
 
-The maintained candidate pools are optimisations with a proof obligation:
-for every heuristic, under any event sequence, the mapping they produce
+The maintained candidate pool is an optimisation with a proof obligation:
+for every heuristic, under any event sequence, the mapping it produces
 must be byte-identical to the from-scratch rebuild path (the differential
-oracle, ``REPRO_KERNEL=rebuild``) — and the columnar pool must additionally
-replicate the incremental pool's ``pool.*`` counters, since it claims the
-same maintenance discipline.  These tests pin those obligations three ways
-— a Hypothesis property test equating :meth:`ColumnarPool.pool_for` and
-:meth:`CandidatePool.pool_for` with :func:`build_candidate_pool` under
-random commit/advance/churn interleavings, whole-mapping byte identity for
-all six registry heuristics, and a churn replay driven through one
-persistent kernel.
+oracle, ``REPRO_KERNEL=rebuild``).  These tests pin that obligation three
+ways — a Hypothesis property test equating :meth:`ColumnarPool.pool_for`
+with :func:`build_candidate_pool` (and its wake-up hint and counters with
+what the schedule implies) under random commit/advance/churn
+interleavings, whole-mapping byte identity for all six registry
+heuristics, and a churn replay driven through one persistent kernel.
 """
 
 import math
@@ -26,7 +23,6 @@ from repro.core.constants import EPSILON
 from repro.core.feasibility import FeasibilityChecker
 from repro.core.kernel import (
     KERNEL_MODES,
-    CandidatePool,
     SchedulingKernel,
     TickPolicy,
     resolve_kernel_mode,
@@ -69,17 +65,12 @@ class TestModeResolution:
 
     def test_override_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "rebuild")
-        assert resolve_kernel_mode("incremental") == "incremental"
+        assert resolve_kernel_mode("columnar") == "columnar"
 
     @pytest.mark.parametrize(
         "alias,mode",
         [
-            ("inc", "incremental"), ("delta", "incremental"),
-            ("1", "incremental"), ("on", "incremental"),
-            ("full", "rebuild"), ("oracle", "rebuild"),
-            ("0", "rebuild"), ("off", "rebuild"),
-            ("Rebuild", "rebuild"), (" incremental ", "incremental"),
-            ("col", "columnar"), ("flat", "columnar"),
+            ("Rebuild", "rebuild"), (" rebuild ", "rebuild"),
             ("Columnar", "columnar"), (" columnar ", "columnar"),
         ],
     )
@@ -90,13 +81,23 @@ class TestModeResolution:
         with pytest.raises(ValueError, match="unknown kernel mode"):
             resolve_kernel_mode("bogus")
 
+    @pytest.mark.parametrize("retired", ["incremental", "1", "on", "inc"])
+    def test_retired_incremental_spellings_raise(self, retired, monkeypatch):
+        """The object-pool mode is gone: its name and old aliases are
+        rejected, by argument and by environment, naming the two modes."""
+        with pytest.raises(ValueError, match="columnar, rebuild"):
+            resolve_kernel_mode(retired)
+        monkeypatch.setenv("REPRO_KERNEL", retired)
+        with pytest.raises(ValueError, match="unknown kernel mode"):
+            resolve_kernel_mode()
+
     def test_ledger_forces_rebuild(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "incremental")
-        assert resolve_kernel_mode("incremental", ledger=True) == "rebuild"
+        monkeypatch.setenv("REPRO_KERNEL", "columnar")
+        assert resolve_kernel_mode("columnar", ledger=True) == "rebuild"
 
     def test_scheduler_with_ledger_builds_rebuild_kernel(self, tiny_scenario):
         scheduler = SLRH1(
-            SlrhConfig(weights=_WEIGHTS, ledger=True, kernel="incremental")
+            SlrhConfig(weights=_WEIGHTS, ledger=True, kernel="columnar")
         )
         kernel = scheduler.make_kernel(Schedule(tiny_scenario))
         assert kernel.mode == "rebuild"
@@ -117,13 +118,24 @@ class TestConstruction:
         with pytest.raises(ValueError, match="kernel mode"):
             SchedulingKernel(schedule, None, None, mode="bogus")
 
+    def test_kernel_default_mode_is_columnar(self, tiny_scenario):
+        scenario = tiny_scenario
+        schedule = Schedule(scenario)
+        kernel = SchedulingKernel(
+            schedule,
+            FeasibilityChecker(scenario),
+            ObjectiveFunction.for_scenario(scenario, _WEIGHTS),
+        )
+        assert kernel.mode == "columnar"
+        assert isinstance(kernel.pool, ColumnarPool)
+
     def test_kernel_rejects_unknown_machine_order(self, tiny_scenario):
         schedule = Schedule(tiny_scenario)
         with pytest.raises(ValueError, match="machine_order"):
             SchedulingKernel(schedule, None, None, machine_order="alphabetical")
 
     def test_modes_constant_covers_all_paths(self):
-        assert KERNEL_MODES == ("columnar", "incremental", "rebuild")
+        assert KERNEL_MODES == ("columnar", "rebuild")
 
     def test_map_rejects_foreign_kernel(self, tiny_scenario):
         scheduler = SLRH1(SlrhConfig(weights=_WEIGHTS))
@@ -153,8 +165,7 @@ def _pool_key(pool):
     ]
 
 
-#: The pool counters the columnar path must replicate exactly — they pin
-#: "same maintenance discipline", not just "same answer".
+#: The pool counters a maintained build moves.
 _POOL_COUNTERS = ("pool.builds", "pool.reuse_hits", "pool.invalidations", "pool.members")
 
 
@@ -163,45 +174,66 @@ def _pool_counter_snapshot(schedule):
     return tuple(perf.get(key, 0) for key in _POOL_COUNTERS)
 
 
+def _expected_wake_hint(schedule, nb):
+    """The earliest release among ready tasks still outside the release
+    gate at *nb* (``None`` when every ready task is released)."""
+    held = [
+        schedule.release(task)
+        for task in schedule.ready_tasks()
+        if schedule.release(task) > nb + EPSILON
+    ]
+    return min(held) if held else None
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=5),
     n=st.sampled_from([8, 12, 16]),
+    staggered=st.booleans(),
     data=st.data(),
 )
-def test_maintained_pools_match_rebuild_under_random_events(seed, n, data):
+def test_maintained_pools_match_rebuild_under_random_events(seed, n, staggered, data):
     """THE kernel property: after any interleaving of commits, clock
-    advances, and churn-style invalidations, both maintained pools —
-    object-incremental and columnar — are identical (members, plans,
-    scores, order, wake-up hint) to a from-scratch build, and the columnar
-    pool's reuse/invalidation/member counters match the incremental
-    pool's delta for delta."""
+    advances, and churn-style invalidations, the maintained columnar pool
+    is identical (members, plans, scores, order) to a from-scratch build;
+    its wake-up hint is the earliest release among ready, unreleased
+    tasks; and each build accounts for every released ready task as
+    either a reuse or an invalidation, adding one build and one member per
+    pool entry."""
     scenario = _scenario(n, seed)
+    if staggered:
+        scenario = scenario.with_release_times(
+            [(task % 5) * 40.0 + (task % 3) * 0.5 for task in range(n)]
+        )
     schedule = Schedule(scenario)
     checker = FeasibilityChecker(scenario)
     objective = ObjectiveFunction.for_scenario(scenario, _WEIGHTS)
-    pool = CandidatePool(schedule, checker, objective)
     cpool = ColumnarPool(schedule, checker, objective)
     n_machines = scenario.n_machines
     offline: set[int] = set()
     nb = 0.0
 
     def check(machine: int) -> list:
+        released = sum(
+            1
+            for task in schedule.ready_tasks()
+            if schedule.release(task) <= nb + EPSILON
+        )
         before = _pool_counter_snapshot(schedule)
-        incremental, release_inc = pool.pool_for(machine, nb)
-        mid = _pool_counter_snapshot(schedule)
-        columnar, release_col = cpool.pool_for(machine, nb)
+        columnar, hint = cpool.pool_for(machine, nb)
         after = _pool_counter_snapshot(schedule)
         oracle = build_candidate_pool(
             schedule, checker, objective, machine, not_before=nb
         )
-        assert _pool_key(incremental) == _pool_key(oracle)
         assert _pool_key(columnar) == _pool_key(oracle)
-        assert release_col == release_inc
-        inc_delta = tuple(m - b for m, b in zip(mid, before))
-        col_delta = tuple(a - m for a, m in zip(after, mid))
-        assert col_delta == inc_delta
-        return incremental
+        assert hint == _expected_wake_hint(schedule, nb)
+        builds, reuse, invalidations, members = (
+            a - b for a, b in zip(after, before)
+        )
+        assert builds == 1
+        assert reuse + invalidations == released
+        assert members == len(columnar)
+        return columnar
 
     actions = data.draw(
         st.lists(
@@ -220,7 +252,6 @@ def test_maintained_pools_match_rebuild_under_random_events(seed, n, data):
                     st.integers(min_value=0, max_value=len(members) - 1)
                 )].plan
                 schedule.commit(plan)
-                pool.note_commit(plan)
                 cpool.note_commit(plan)
         elif action == "advance":
             nb += data.draw(st.floats(min_value=0.5, max_value=400.0))
@@ -232,7 +263,6 @@ def test_maintained_pools_match_rebuild_under_random_events(seed, n, data):
             else:
                 offline.add(machine)
                 schedule.set_offline(machine, True)
-            pool.invalidate_all()
             cpool.invalidate_all()
     # Final sweep: every online machine agrees with the oracle.
     for machine in range(n_machines):
@@ -250,7 +280,7 @@ def _map_with_mode(name: str, scenario, mode: str, monkeypatch):
 class TestByteIdentity:
     """Mapping bytes must not depend on the kernel mode — for any registry
     heuristic (the static baselines are mode-blind by construction; the
-    SLRH family is where the incremental pool earns its keep)."""
+    SLRH family is where the maintained pool earns its keep)."""
 
     @pytest.mark.parametrize("name", HEURISTIC_NAMES)
     def test_registry_heuristics_identical_across_modes(
@@ -261,7 +291,6 @@ class TestByteIdentity:
             for mode in KERNEL_MODES
         }
         oracle = canonical_mapping_bytes(results["rebuild"].schedule)
-        assert canonical_mapping_bytes(results["incremental"].schedule) == oracle
         assert canonical_mapping_bytes(results["columnar"].schedule) == oracle
 
     @pytest.mark.parametrize("cls", [SLRH1, SLRH2, SLRH3])
@@ -272,10 +301,9 @@ class TestByteIdentity:
             traces[mode] = cls(cfg).map(small_scenario).trace
         reb = traces["rebuild"]
         oracle = (reb.ticks, reb.machine_scans, reb.empty_pool_ticks)
-        for mode in ("incremental", "columnar"):
-            got = traces[mode]
-            assert (got.ticks, got.machine_scans, got.empty_pool_ticks) == oracle
-            assert got.records == reb.records
+        got = traces["columnar"]
+        assert (got.ticks, got.machine_scans, got.empty_pool_ticks) == oracle
+        assert got.records == reb.records
 
     @pytest.mark.parametrize("order", ["battery", "round_robin"])
     def test_machine_order_variants_identical_across_modes(
@@ -287,10 +315,9 @@ class TestByteIdentity:
             mappings[mode] = canonical_mapping_bytes(
                 SLRH2(cfg).map(small_scenario).schedule
             )
-        assert mappings["incremental"] == mappings["rebuild"]
         assert mappings["columnar"] == mappings["rebuild"]
 
-    @pytest.mark.parametrize("mode", ["incremental", "columnar"])
+    @pytest.mark.parametrize("mode", ["columnar"])
     def test_maintained_kernels_actually_reuse_entries(self, mode, small_scenario):
         result = SLRH1(SlrhConfig(weights=_WEIGHTS, kernel=mode)).map(
             small_scenario
@@ -298,23 +325,6 @@ class TestByteIdentity:
         perf = result.trace.perf
         assert perf.get("pool.reuse_hits", 0) > 0
         assert perf.get("pool.invalidations", 0) > 0
-
-    @pytest.mark.parametrize("cls", [SLRH1, SLRH2, SLRH3])
-    def test_pool_counters_identical_between_maintained_modes(
-        self, cls, small_scenario
-    ):
-        """Columnar must replan exactly the same dirty entries as the
-        incremental pool: its speedup comes from constant factors, never
-        from doing less maintenance work."""
-        perfs = {}
-        for mode in ("incremental", "columnar"):
-            result = cls(SlrhConfig(weights=_WEIGHTS, kernel=mode)).map(
-                small_scenario
-            )
-            perfs[mode] = result.trace.perf
-        for key in ("pool.builds", "pool.reuse_hits",
-                    "pool.invalidations", "pool.members"):
-            assert perfs["columnar"].get(key, 0) == perfs["incremental"].get(key, 0)
 
     def test_ledger_contents_match_rebuild(self, small_scenario):
         """A ledgered run (forced onto the rebuild path) must report the
@@ -357,16 +367,15 @@ class TestChurnDifferential:
             reb.final.trace.machine_scans,
             reb.final.trace.empty_pool_ticks,
         )
-        for mode in ("incremental", "columnar"):
-            got = outcomes[mode]
-            assert canonical_mapping_bytes(got.final.schedule) == oracle_bytes
-            assert got.records == reb.records
-            assert got.final.trace.records == reb.final.trace.records
-            assert (
-                got.final.trace.ticks,
-                got.final.trace.machine_scans,
-                got.final.trace.empty_pool_ticks,
-            ) == oracle_counters
+        got = outcomes["columnar"]
+        assert canonical_mapping_bytes(got.final.schedule) == oracle_bytes
+        assert got.records == reb.records
+        assert got.final.trace.records == reb.final.trace.records
+        assert (
+            got.final.trace.ticks,
+            got.final.trace.machine_scans,
+            got.final.trace.empty_pool_ticks,
+        ) == oracle_counters
 
 
 class TestSleepGate:
@@ -425,7 +434,7 @@ class TestSleepGate:
         schedule = Schedule(scenario)
         checker = FeasibilityChecker(scenario)
         objective = ObjectiveFunction.for_scenario(scenario, _WEIGHTS)
-        kernel = SchedulingKernel(schedule, checker, objective, mode="incremental")
+        kernel = SchedulingKernel(schedule, checker, objective)
         kernel._wake_release[1] = 99.0
         kernel._wake_ready[1] = 99.0
         kernel._wake_all()
@@ -438,7 +447,7 @@ class TestSleepGate:
 class TestReleaseTimesDifferential:
     """generate_scenario leaves arrivals at 0.0; attaching staggered release
     times exercises the sleep/wake path (machines provably idle until the
-    next arrival) — all three kernels must still agree byte for byte,
+    next arrival) — both kernels must still agree byte for byte,
     including the tick counters the columnar fast-forward bulk-adds."""
 
     @pytest.mark.parametrize("cls", [SLRH1, SLRH2, SLRH3])
@@ -456,12 +465,11 @@ class TestReleaseTimesDifferential:
         oracle_counters = (
             reb.trace.ticks, reb.trace.machine_scans, reb.trace.empty_pool_ticks
         )
-        for mode in ("incremental", "columnar"):
-            got = results[mode]
-            assert canonical_mapping_bytes(got.schedule) == oracle
-            assert got.trace.records == reb.trace.records
-            assert (
-                got.trace.ticks,
-                got.trace.machine_scans,
-                got.trace.empty_pool_ticks,
-            ) == oracle_counters
+        got = results["columnar"]
+        assert canonical_mapping_bytes(got.schedule) == oracle
+        assert got.trace.records == reb.trace.records
+        assert (
+            got.trace.ticks,
+            got.trace.machine_scans,
+            got.trace.empty_pool_ticks,
+        ) == oracle_counters

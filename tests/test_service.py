@@ -30,7 +30,6 @@ from repro.io.serialization import (
 from repro.service.app import ServiceServer, make_server
 from repro.service.jobs import (
     DrainingError,
-    JobManager,
     QueueFullError,
     ShardRouter,
 )
@@ -87,14 +86,14 @@ class TestScenarioRegistry:
 
 
 # ---------------------------------------------------------------------------
-# job manager (no HTTP)
+# shard router at one inline shard (no HTTP)
 
 
-class TestJobManager:
+class TestShardRouter:
     def test_submit_and_run(self):
         reg = ScenarioRegistry()
         sid, _ = reg.put(_scenario_doc())
-        manager = JobManager(reg, n_jobs=1, max_queue=4).start()
+        manager = ShardRouter(reg, shards=1, max_queue=4).start()
         try:
             job = manager.submit(sid, "slrh1", alpha=0.5, beta=0.2)
             assert job.done.wait(timeout=120)
@@ -109,7 +108,7 @@ class TestJobManager:
     def test_validation_happens_at_admission(self):
         reg = ScenarioRegistry()
         sid, _ = reg.put(_scenario_doc())
-        manager = JobManager(reg, n_jobs=1, max_queue=4)  # never started
+        manager = ShardRouter(reg, shards=1, max_queue=4)  # never started
         with pytest.raises(KeyError):
             manager.submit("sha256:unregistered", "slrh1")
         with pytest.raises(KeyError):
@@ -123,7 +122,7 @@ class TestJobManager:
         sid, _ = reg.put(_scenario_doc())
         # Dispatcher intentionally NOT started: the queue cannot drain, so
         # saturation is deterministic.
-        manager = JobManager(reg, n_jobs=1, max_queue=2)
+        manager = ShardRouter(reg, shards=1, max_queue=2)
         manager.submit(sid, "slrh1")
         manager.submit(sid, "slrh2")
         with pytest.raises(QueueFullError) as exc_info:
@@ -144,7 +143,7 @@ class TestJobManager:
     def test_drain_blocks_until_idle_then_rejects(self):
         reg = ScenarioRegistry()
         sid, _ = reg.put(_scenario_doc())
-        manager = JobManager(reg, n_jobs=1, max_queue=8).start()
+        manager = ShardRouter(reg, shards=1, max_queue=8).start()
         jobs = [manager.submit(sid, "greedy") for _ in range(3)]
         assert manager.drain(timeout=120)
         assert all(j.state == "succeeded" for j in jobs)
@@ -157,7 +156,7 @@ class TestJobManager:
     def test_metrics_document_schema(self):
         reg = ScenarioRegistry()
         sid, _ = reg.put(_scenario_doc())
-        manager = JobManager(reg, n_jobs=1, max_queue=4).start()
+        manager = ShardRouter(reg, shards=1, max_queue=4).start()
         try:
             manager.submit(sid, "slrh1").done.wait(timeout=120)
             doc = manager.metrics_document()
@@ -202,7 +201,7 @@ def _get(base, path, timeout=120):
 @pytest.fixture()
 def service():
     """A live service on an ephemeral port (serial worker, small queue)."""
-    manager = JobManager(ScenarioRegistry(), n_jobs=1, max_queue=16)
+    manager = ShardRouter(ScenarioRegistry(), shards=1, max_queue=16)
     server = make_server("127.0.0.1", 0, manager)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -297,6 +296,26 @@ class TestHTTPSurface:
         status, _, _ = _get(base, "/nope")
         assert status == 404
 
+    def test_retired_incremental_kernel_answers_400(self, service):
+        """The object-pool kernel mode is gone: a map request naming it is
+        refused (map jobs take no kernel field at all), and a session open
+        naming it is refused with the two modes that remain."""
+        base, _ = service
+        _, _, body = _post(base, "/v1/scenarios", _scenario_doc())
+        sid = json.loads(body)["id"]
+        status, _, body = _post(
+            base, "/v1/map",
+            {"scenario": sid, "heuristic": "slrh1", "kernel": "incremental"},
+        )
+        assert status == 400
+        assert "kernel" in json.loads(body)["error"]
+        status, _, body = _post(
+            base, "/v1/session",
+            {"scenario": sid, "heuristic": "slrh1", "kernel": "incremental"},
+        )
+        assert status == 400
+        assert "columnar, rebuild" in json.loads(body)["error"]
+
     def test_healthz_and_metrics_under_traffic(self, service):
         base, _ = service
         _, _, body = _post(base, "/v1/scenarios", _scenario_doc())
@@ -320,7 +339,7 @@ class TestHTTPSurface:
         assert lat["p50"] <= lat["p95"] <= lat["p99"]
 
     def test_queue_saturation_returns_429_over_http(self):
-        manager = JobManager(ScenarioRegistry(), n_jobs=1, max_queue=1)
+        manager = ShardRouter(ScenarioRegistry(), shards=1, max_queue=1)
         # Dispatcher NOT started: saturation is deterministic.
         server = ServiceServer(("127.0.0.1", 0), manager)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -525,7 +544,7 @@ class TestReplyPath:
         assert b"bad Content-Length" in reply
 
     def test_client_gone_before_flush_leaves_no_traceback(self, capsys):
-        manager = JobManager(ScenarioRegistry(), n_jobs=1, max_queue=4)
+        manager = ShardRouter(ScenarioRegistry(), shards=1, max_queue=4)
         sid, _ = manager.registry.put(_scenario_doc())
         # Dispatcher NOT started: the handler blocks on the job until the
         # client is gone, so its reply always meets a reset connection.
@@ -576,7 +595,7 @@ class TestDifferentialDeterminism:
     @pytest.fixture(scope="class")
     def served_mappings(self):
         """Every registry heuristic served once for one fixed scenario+seed."""
-        manager = JobManager(ScenarioRegistry(), n_jobs=1, max_queue=32)
+        manager = ShardRouter(ScenarioRegistry(), shards=1, max_queue=32)
         server = make_server("127.0.0.1", 0, manager)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -629,7 +648,7 @@ class TestDaemonProcess:
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
         env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.service", "--port", "0", "--jobs", "1"],
+            [sys.executable, "-m", "repro.service", "--port", "0", "--shards", "1"],
             cwd="/root/repo",
             env=env,
             stdout=subprocess.PIPE,

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.core.kernel import KERNEL_MODES
 from repro.core.objective import Weights
 from repro.heuristics import (
     HEURISTIC_NAMES,
@@ -31,7 +32,6 @@ from repro.session.events import validate_events
 from repro.sim.churn import ChurnEvent, run_with_churn
 
 WEIGHTS = Weights.from_alpha_beta(0.5, 0.2)
-KERNEL_MODES = ("columnar", "incremental", "rebuild")
 
 
 @pytest.fixture(scope="module")

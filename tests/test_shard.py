@@ -7,12 +7,16 @@ counts, heuristics and kernel modes."""
 from __future__ import annotations
 
 import json
+import os
+import signal
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.core.kernel import KERNEL_MODES
 from repro.heuristics import HEURISTIC_NAMES, generate_named_scenario
 from repro.io.serialization import (
     canonical_json_bytes,
@@ -177,7 +181,7 @@ class TestShardCountInvariance:
             for name in HEURISTIC_NAMES:
                 assert sharded[name] == baseline[name], (n_shards, name)
 
-    @pytest.mark.parametrize("kernel", ["columnar", "incremental", "rebuild"])
+    @pytest.mark.parametrize("kernel", KERNEL_MODES)
     def test_kernel_modes_identical_across_shard_counts(self, kernel, monkeypatch):
         # Shard children inherit the environment through fork, so the
         # kernel mode pins itself in every process the same way.
@@ -249,6 +253,96 @@ class TestCrashSemantics:
             thread.join(timeout=10)
             server.server_close()
             manager.close(drain_timeout=0)
+
+
+# ---------------------------------------------------------------------------
+# deliberate fault injection: corrupt pipes and kills at a chosen command
+
+
+class _HttpRouter:
+    """A router with N process shards behind a live HTTP server."""
+
+    def __init__(self, shards: int) -> None:
+        from repro.service.app import make_server
+
+        self.registry = ScenarioRegistry()
+        self.manager = ShardRouter(self.registry, shards=shards, max_queue=8).start()
+        self.server = make_server("127.0.0.1", 0, self.manager)
+        host, port = self.server.server_address[:2]
+        self.base = f"http://{host}:{port}"
+        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self._thread.start()
+
+    def get(self, path: str) -> tuple[int, bytes]:
+        try:
+            with urllib.request.urlopen(self.base + path, timeout=30) as resp:
+                return resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            return exc.code, exc.read()
+
+    def close(self) -> None:
+        self.server.shutdown()
+        self._thread.join(timeout=10)
+        self.server.server_close()
+        self.manager.close(drain_timeout=0)
+
+
+class TestFaultInjection:
+    """DESIGN.md §15.4's crash contract under injected faults: the job
+    routed at a broken shard fails with ``ShardCrashedError`` instead of
+    hanging, finished results survive the shard, and ``/healthz`` goes
+    503."""
+
+    def test_garbage_on_command_pipe_fails_next_job(self):
+        stack = _HttpRouter(shards=2)
+        try:
+            sid, _ = stack.registry.put(_scenario_doc())
+            victim = stack.manager.shard_for(sid)
+            # A well-framed message whose payload is not a pickle: the
+            # child's recv() cannot decode it.
+            victim.backend._proc._cmd.send_bytes(b"\x00not a pickled command\xff")
+            started = time.monotonic()
+            job = stack.manager.submit(sid, "greedy")
+            assert job.done.wait(timeout=30), "job hung on a corrupted shard"
+            assert time.monotonic() - started < 10
+            assert job.state == "failed"
+            assert "ShardCrashedError" in (job.error or "")
+            status, body = stack.get("/healthz")
+            assert status == 503
+            assert json.loads(body)["status"] == "degraded"
+        finally:
+            stack.close()
+
+    def test_sigkill_after_nth_reply_keeps_finished_results(self):
+        n = 3
+        stack = _HttpRouter(shards=2)
+        try:
+            sid, _ = stack.registry.put(_scenario_doc())
+            victim = stack.manager.shard_for(sid)
+            finished = []
+            for _ in range(n):
+                job = stack.manager.submit(sid, "slrh1")
+                assert job.done.wait(timeout=120)
+                assert job.state == "succeeded", job.error
+                finished.append(job)
+            # Kill the shard right after its Nth job reply.
+            os.kill(victim.backend.pid, signal.SIGKILL)
+            victim.backend._proc._proc.join(timeout=30)
+            assert not victim.backend.alive()
+            job = stack.manager.submit(sid, "slrh1")
+            assert job.done.wait(timeout=30), "job hung on a killed shard"
+            assert job.state == "failed"
+            assert "ShardCrashedError" in (job.error or "")
+            # The first N results live in the router, not the shard.
+            for done in finished:
+                status, body = stack.get(f"/v1/jobs/{done.id}/result")
+                assert status == 200
+                assert body == finished[0].mapping_bytes
+                status, body = stack.get(f"/v1/jobs/{done.id}")
+                assert json.loads(body)["state"] == "succeeded"
+            assert stack.get("/healthz")[0] == 503
+        finally:
+            stack.close()
 
 
 # ---------------------------------------------------------------------------
