@@ -9,6 +9,13 @@ best-of-N wall time of a full ``map()`` under the two kernel modes:
 * ``rebuild`` — from-scratch pool construction per (tick, machine), the
   paper-literal differential oracle behind ``REPRO_KERNEL=rebuild``.
 
+It also times the static heuristics (Max-Max, Min-Min), which have no
+kernel modes: each maps the generated scenarios of seeds 1 and 2 (the
+golden-digest and perfbench scenarios) at 240 and 1024 tasks, and the
+document records the per-map best and median seconds plus the
+static-round memo's fresh (``plan.pairs``) and re-placed
+(``plan.replacements``) pair counts.
+
 Mode runs are interleaved within each repeat so frequency scaling and
 cache warmth hit both modes equally.  Before timing anything it asserts
 byte-identity of the two modes' mappings on the measured scenario — a
@@ -28,9 +35,11 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -43,6 +52,7 @@ if __package__ in (None, ""):  # script invocation: python benchmarks/bench_...
 from repro.core.kernel import KERNEL_MODES  # noqa: E402
 from repro.core.objective import Weights  # noqa: E402
 from repro.core.slrh import SLRH_VARIANTS, SlrhConfig  # noqa: E402
+from repro.heuristics import generate_named_scenario, run_heuristic  # noqa: E402
 from repro.io.serialization import canonical_mapping_bytes  # noqa: E402
 from repro.workload.scenario import paper_scaled_suite  # noqa: E402
 
@@ -52,6 +62,11 @@ DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 CRITERION_COLUMNAR = 2.25
 
 ALPHA, BETA = 0.5, 0.2
+
+#: The static arm: heuristics, scales and generator seeds.
+STATIC_HEURISTICS = ("maxmax", "minmin")
+STATIC_SIZES = (240, 1024)
+STATIC_SEEDS = (1, 2)
 
 
 def _one_map_seconds(variant, scenario, weights, mode: str):
@@ -64,6 +79,47 @@ def _one_map_seconds(variant, scenario, weights, mode: str):
     result = scheduler.map(scenario)
     elapsed = time.perf_counter() - start
     return elapsed, canonical_mapping_bytes(result.schedule), result.trace.perf
+
+
+def measure_static(repeats: int) -> dict:
+    """Per-map wall time of the static heuristics at each scale and seed;
+    maps of one scenario run interleaved across heuristics per repeat."""
+    runs: dict[str, dict] = {}
+    for n_tasks in STATIC_SIZES:
+        for seed in STATIC_SEEDS:
+            scenario = generate_named_scenario(n_tasks, seed)
+            times: dict[str, list[float]] = {h: [] for h in STATIC_HEURISTICS}
+            results = {}
+            for _ in range(repeats):
+                for name in STATIC_HEURISTICS:
+                    start = time.perf_counter()
+                    results[name] = run_heuristic(name, scenario)
+                    times[name].append(time.perf_counter() - start)
+            for name in STATIC_HEURISTICS:
+                result = results[name]
+                entry = runs[f"{name}/{n_tasks}/{seed}"] = {
+                    "best_seconds": round(min(times[name]), 4),
+                    "median_seconds": round(statistics.median(times[name]), 4),
+                    "plan_pairs": result.perf.get("plan.pairs", 0.0),
+                    "plan_replacements": result.perf.get("plan.replacements", 0.0),
+                    "mapping_sha256": hashlib.sha256(
+                        canonical_mapping_bytes(result.schedule)
+                    ).hexdigest(),
+                }
+                print(
+                    f"{name}/{n_tasks}/{seed}: best {entry['best_seconds']:.3f}s "
+                    f"median {entry['median_seconds']:.3f}s, "
+                    f"{entry['plan_pairs']:g} fresh + "
+                    f"{entry['plan_replacements']:g} re-placed pairs"
+                )
+    return {
+        "scenarios": "generate_named_scenario(n_tasks, seed) for n_tasks in "
+        f"{list(STATIC_SIZES)}, seed in {list(STATIC_SEEDS)}",
+        "weights": f"Weights.from_alpha_beta({ALPHA}, {BETA}) (Max-Max; "
+        "Min-Min is weight-free)",
+        "timing": f"{repeats} full map() calls per heuristic and scenario",
+        "runs": runs,
+    }
 
 
 def measure(n_tasks: int, repeats: int, seed: int) -> dict:
@@ -131,6 +187,7 @@ def measure(n_tasks: int, repeats: int, seed: int) -> dict:
             f"{CRITERION_COLUMNAR}x per SLRH variant at the "
             f"{n_tasks}-task scale, byte-identical mappings",
         },
+        "static": measure_static(repeats),
     }
 
 

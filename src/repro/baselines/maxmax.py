@@ -80,6 +80,7 @@ class MaxMaxScheduler:
         )
         trace = MappingTrace()
         memo = StaticPlanMemo(schedule, insertion=self.config.insertion)
+        required = checker.required_energy
         n_machines = scenario.n_machines
 
         completion_stage = self.config.machine_stage == "completion"
@@ -92,7 +93,15 @@ class MaxMaxScheduler:
             best_plan = None
             best_score = -float("inf")
             pool_size = 0
-            for task in schedule.ready_sorted():
+            ready = schedule.ready_sorted()
+            # Every (task, version, machine) of the round is one scan.
+            trace.machine_scans += 2 * n_machines * len(ready)
+            # Nothing commits mid-round, so the budgets are round
+            # constants: rule (b) for a ready task is one threshold
+            # compare (see FeasibilityChecker), and the memo re-checks
+            # stored demands against the same snapshot.
+            budgets = schedule.budget_thresholds()
+            for task in ready:
                 # Both versions share one plan_versions call per machine.
                 pairs: list = [None] * n_machines
                 for vi, version in enumerate((PRIMARY, SECONDARY)):
@@ -102,12 +111,13 @@ class MaxMaxScheduler:
                     # "objective" every machine competes directly.
                     stage_plan = None
                     for machine in range(n_machines):
-                        trace.note_machine_scan()
-                        if not checker.is_feasible(schedule, task, machine, version):
+                        if not required(task, machine, version) <= budgets[machine]:
                             continue
                         pair = pairs[machine]
                         if pair is None:
-                            pair = pairs[machine] = memo.plan_versions(task, machine)
+                            pair = pairs[machine] = memo.plan_versions(
+                                task, machine, budgets
+                            )
                         plan = pair[vi]
                         if not plan.feasible:
                             continue

@@ -33,11 +33,14 @@ class MinMinScheduler:
         self.insertion = insertion
 
     @staticmethod
-    def _best_plan_for_task(memo: StaticPlanMemo, task: int) -> ExecutionPlan | None:
-        """Minimum-completion-time plan for *task* over all machines."""
+    def _best_plan_for_task(
+        memo: StaticPlanMemo, task: int, budgets: list[float]
+    ) -> ExecutionPlan | None:
+        """Minimum-completion-time plan for *task* over all machines;
+        *budgets* is the round's :meth:`Schedule.budget_thresholds`."""
         best: ExecutionPlan | None = None
         for machine in range(memo.schedule.scenario.n_machines):
-            primary, secondary = memo.plan_versions(task, machine)
+            primary, secondary = memo.plan_versions(task, machine, budgets)
             # An affordable primary wins; the secondary is the fallback.
             plan = primary if primary.feasible else secondary
             if not plan.feasible:
@@ -61,8 +64,9 @@ class MinMinScheduler:
         def select() -> tuple:
             """One Min-Min round: the smallest-MCT ready subtask."""
             best: ExecutionPlan | None = None
+            budgets = schedule.budget_thresholds()
             for task in schedule.ready_sorted():
-                plan = self._best_plan_for_task(memo, task)
+                plan = self._best_plan_for_task(memo, task, budgets)
                 if plan is None:
                     continue
                 if best is None or plan.finish < best.finish - 1e-12:
@@ -73,6 +77,10 @@ class MinMinScheduler:
         stopwatch = Stopwatch()
         with stopwatch:
             kernel.run_static(select, trace, note_ticks=True)
+        schedule.perf.inc("map.runs")
+        schedule.perf.inc("map.seconds", stopwatch.elapsed)
+        schedule.perf.inc("tick.count", trace.ticks)
+        trace.perf = schedule.perf.snapshot()
         return MappingResult(
             schedule=schedule,
             trace=trace,

@@ -14,6 +14,10 @@ Counter namespace (dotted, flat):
 
 ``plan.pairs``
     (task, machine) plan pairs computed from scratch (the hot path).
+``plan.replacements``
+    Static-round memo pairs whose stored execution slot was taken and
+    searched again, keeping the stored comms, data-ready time and
+    demands (see :class:`~repro.sim.schedule.StaticPlanMemo`).
 ``pool.builds`` / ``pool.members``
     Candidate pools built and their total membership.
 ``pool.reuse_hits`` / ``pool.invalidations``

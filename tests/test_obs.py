@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.objective import Weights
 from repro.core.slrh import SLRH1, SlrhConfig
-from repro.heuristics import generate_named_scenario, run_heuristic
+from repro.heuristics import generate_named_scenario, make_scheduler, run_heuristic
 from repro.io.serialization import canonical_mapping_bytes
 from repro.obs import (
     DEADLINE_INFEASIBLE,
@@ -642,3 +642,31 @@ class TestRegressionGate:
         ).map(scenario)
         for counter, expected in baseline["variants"]["slrh1"]["counters"].items():
             assert result.perf.get(counter, 0.0) == expected, counter
+
+    def test_static_counter_drift_fails_exactly(self, gate):
+        base = {
+            "variants": {},
+            "static": {"maxmax": {"counters": {"plan.replacements": 10.0}}},
+        }
+        same = {"variants": {}, "static": base["static"]}
+        assert gate.compare(same, base, 0.25) == []
+        moved = {
+            "variants": {},
+            "static": {"maxmax": {"counters": {"plan.replacements": 9.0}}},
+        }
+        bad = gate.compare(moved, base, 0.25)
+        assert len(bad) == 1 and "maxmax" in bad[0] and "plan.replacements" in bad[0]
+        missing = gate.compare({"variants": {}}, base, 0.25)
+        assert len(missing) == 1 and "missing" in missing[0]
+
+    def test_checked_in_baseline_matches_live_static_counters(self, gate):
+        baseline = json.loads(gate.BASELINE_PATH.read_text())
+        assert set(baseline["static"]) == set(gate.STATIC_VARIANTS)
+        scenario = generate_named_scenario(gate.N_TASKS, gate.SEED)
+        weights = Weights.from_alpha_beta(gate.ALPHA, gate.BETA)
+        for name, entry in baseline["static"].items():
+            scheduler = make_scheduler(name, weights if name == "maxmax" else None)
+            result = scheduler.map(scenario)
+            assert set(entry["counters"]) == set(gate.STATIC_COUNTERS)
+            for counter, expected in entry["counters"].items():
+                assert result.perf.get(counter, 0.0) == expected, (name, counter)
