@@ -66,11 +66,6 @@ __all__ = ["ColumnarPool"]
 
 _PRIMARY = Version.PRIMARY
 _SECONDARY = Version.SECONDARY
-#: The energy-budget comparison scale of Schedule._demand_shortfall /
-#: FeasibilityChecker.is_feasible — hoisted so the fused loop keeps the
-#: exact generic arithmetic.
-_BUDGET_SLACK = 1 + 1e-12
-
 # Slot kinds: the kernel's pool-entry states plus "never written".
 _EMPTY, _CANDIDATE, _NO_VERSION, _RULE_B = -1, 0, 1, 2
 
@@ -305,13 +300,12 @@ class ColumnarPool:
         exec_tail = schedule.exec_timeline[machine].tail
         offline_set = schedule.offline
         machine_offline = machine in offline_set
-        avail = schedule.available_energy
         # Rule (b) reduced for ready tasks: assigned/parents-mapped always
         # hold, so FeasibilityChecker.is_feasible is one memoised-static
-        # lookup against this threshold (same arithmetic, same slack).
-        # Per-machine verdict thresholds are premultiplied once per build —
-        # the _demand_shortfall comparison scale on the same availability.
-        rb_gate = avail(machine) * _BUDGET_SLACK + 1e-12
+        # lookup against this threshold.  Per-machine verdict thresholds
+        # (Schedule.budget_threshold, as _demand_shortfall compares) are
+        # taken once per build.
+        rb_gate = schedule.budget_threshold(machine)
         thresh: list[float | None] = [None] * self._n_machines
         thresh[machine] = rb_gate
         required = checker.required_energy
@@ -533,9 +527,7 @@ class ColumnarPool:
                         for j, amount in d0.items():
                             th = thresh[j]
                             if th is None:
-                                th = thresh[j] = (
-                                    avail(j) * _BUDGET_SLACK + 1e-12
-                                )
+                                th = thresh[j] = schedule.budget_threshold(j)
                             if amount > th:
                                 vf0 = False
                                 break
@@ -543,9 +535,7 @@ class ColumnarPool:
                         for j, amount in d1.items():
                             th = thresh[j]
                             if th is None:
-                                th = thresh[j] = (
-                                    avail(j) * _BUDGET_SLACK + 1e-12
-                                )
+                                th = thresh[j] = schedule.budget_threshold(j)
                             if amount > th:
                                 vf1 = False
                                 break
@@ -695,10 +685,9 @@ class ColumnarPool:
             demand = schedule._net_energy_demand(
                 task, machine, version, exec_energy, pcomms
             )
-            avail = schedule.available_energy
             feasible = True
             for j, amount in demand.items():
-                if amount > avail(j) * _BUDGET_SLACK + 1e-12:
+                if amount > schedule.budget_threshold(j):
                     feasible = False
                     break
         if feasible:

@@ -19,6 +19,23 @@ import numpy as np
 from repro.grid.config import GridConfig
 
 
+#: Relative slack of every energy-budget compare.
+_BUDGET_SLACK = 1 + 1e-12
+
+
+def budget_threshold(available: float) -> float:
+    """The largest energy demand a budget of *available* units admits.
+
+    A relative and an absolute slack of 1e-12 absorb float round-off so
+    that a machine can always spend exactly what it has left.  This is
+    the one tolerance rule of every budget compare: the ledger's
+    :meth:`EnergyLedger.can_afford`, ``Schedule.budget_threshold`` (the
+    schedule's commit check and rule (b) of feasibility) and the
+    columnar pool's hoisted gates.
+    """
+    return available * _BUDGET_SLACK + 1e-12
+
+
 class EnergyLedger:
     """Mutable energy state for one grid configuration."""
 
@@ -56,12 +73,9 @@ class EnergyLedger:
         return self._tec
 
     def can_afford(self, j: int, energy: float) -> bool:
-        """Whether machine *j* has at least *energy* units left.
-
-        A small relative tolerance absorbs float round-off so that a machine
-        can always spend exactly its remaining budget.
-        """
-        return energy <= self.remaining(j) * (1 + 1e-12) + 1e-12
+        """Whether machine *j* has at least *energy* units left, up to
+        the :func:`budget_threshold` slack."""
+        return energy <= budget_threshold(self.remaining(j))
 
     # -- mutation ----------------------------------------------------------
 
